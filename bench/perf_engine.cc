@@ -607,11 +607,11 @@ main(int argc, char **argv)
                 static_cast<double>(fsvc.validateCycles) /
                 static_cast<double>(fsvc.compileCycles);
         }
-        // Hot-loop OSR tail, both directions: the ratio the ISSUE
+        // Hot-loop OSR tail, both directions: the ratio the OSR study
         // tracks (OSR/entry worst flip — lower is better, so it is
         // recorded but not gated by the higher-is-better trajectory
         // checker) and its reciprocal (entry/OSR — higher is
-        // better), which perf-smoke gates on.
+        // better), which the CI acceptance job gates on.
         metrics["osr_flip_latency_ratio"] = osr_ratio;
         metrics["osr_tail_reduction"] = osr_reduction;
 

@@ -41,7 +41,7 @@ main(int argc, char **argv)
     sim::Process &proc = machine.load(image, 0);
     runtime::Attachment att = runtime::attach(proc);
     bool full_ir = att.hasIr() &&
-        att.module->numLoads() == module.numLoads();
+        att.ir->module().numLoads() == module.numLoads();
 
     TextTable t("Table I: protean code vs prior dynamic compilers");
     t.setHeader({"System", "LowOverhead", "FullIR", "Commodity",

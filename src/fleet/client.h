@@ -181,9 +181,6 @@ class RemoteBackend : public runtime::CompileBackend
 
     const char *backendName() const override { return "fleet"; }
 
-    uint32_t serverId() const { return serverId_; }
-    uint64_t requestCount() const { return requests_; }
-
     const ClientStats &clientStats() const { return cstats_; }
     const CircuitBreaker &breaker() const { return breaker_; }
 

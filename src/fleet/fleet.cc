@@ -24,7 +24,9 @@ buildFleetModule(const FleetConfig &cfg)
 
 FleetSim::FleetSim(const FleetConfig &cfg)
     : cfg_(cfg), module_(buildFleetModule(cfg)),
-      image_(pcc::compile(module_)), svc_(cfg.service), cluster_(svc_)
+      image_(pcc::compile(module_)), svc_(cfg.service), cluster_(svc_),
+      slots_(pcc::chooseVirtualizedCallees(
+          module_, pcc::EdgePolicy::MultiBlockCallees))
 {
     if (cfg_.numServers == 0)
         fatal("FleetSim: numServers must be > 0");
@@ -36,7 +38,6 @@ FleetSim::FleetSim(const FleetConfig &cfg)
         svc_.setFaultPlan(plan_.get());
         cluster_.setFaultPlan(plan_.get());
     }
-    buildCatalog();
     if (cfg_.validate.mode != validate::Mode::Off &&
         cfg_.remoteBackend) {
         // The install gate. It re-derives candidates under the same
@@ -74,6 +75,7 @@ FleetSim::FleetSim(const FleetConfig &cfg)
         cluster_.addMachine(*s->machine);
         servers_.push_back(std::move(s));
     }
+    buildCatalog(servers_.front()->rt->binaryIr());
     for (auto &s : servers_)
         scheduleNextRequest(*s);
     cluster_.setParallel(cfg_.parallelWorkers);
@@ -108,18 +110,15 @@ FleetSim::FleetSim(const FleetConfig &cfg)
 FleetSim::~FleetSim() = default;
 
 void
-FleetSim::buildCatalog()
+FleetSim::buildCatalog(const runtime::BinaryIr &ir)
 {
     // The catalog is derived from the binary alone, so every server
     // (running the same binary) would derive the same one — which is
     // why requests collide fleet-wide and the service's content
     // addressing pays off.
-    slots_ = pcc::chooseVirtualizedCallees(
-        module_, pcc::EdgePolicy::MultiBlockCallees);
-    const codegen::VirtualizationMap &slots = slots_;
     std::vector<ir::FuncId> funcs;
-    funcs.reserve(slots.size());
-    for (const auto &[f, slot] : slots) {
+    funcs.reserve(slots_.size());
+    for (const auto &[f, slot] : slots_) {
         (void)slot;
         funcs.push_back(f);
     }
@@ -129,14 +128,7 @@ FleetSim::buildCatalog()
         if (cfg_.hotFuncsOnly &&
             module_.function(f).name().rfind("hot_", 0) != 0)
             continue;
-        std::vector<ir::LoadId> loads;
-        for (const auto &bb : module_.function(f).blocks()) {
-            for (const auto &inst : bb.insts) {
-                if (inst.op == ir::Opcode::Load &&
-                    inst.loadId != ir::kInvalidId)
-                    loads.push_back(inst.loadId);
-            }
-        }
+        const std::vector<ir::LoadId> &loads = ir.loads(f);
         if (loads.empty()) {
             Directive d;
             d.func = f;

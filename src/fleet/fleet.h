@@ -175,9 +175,6 @@ class FleetSim
     Cluster &cluster() { return cluster_; }
     size_t catalogSize() const { return catalog_.size(); }
 
-    /** The attached fault plan (nullptr when cfg.faults is benign). */
-    faults::FaultPlan *faultPlan() { return plan_.get(); }
-
     /** The install gate (nullptr when cfg.validate.mode is Off). */
     const validate::Validator *validator() const
     {
@@ -241,7 +238,7 @@ class FleetSim
     std::vector<Directive> catalog_;
     std::vector<std::unique_ptr<Server>> servers_;
 
-    void buildCatalog();
+    void buildCatalog(const runtime::BinaryIr &ir);
     void scheduleNextRequest(Server &s);
 };
 

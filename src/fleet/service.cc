@@ -66,14 +66,6 @@ CompileService::shardOccupancy(uint32_t shard) const
     return shards_[shard].index.size();
 }
 
-uint64_t
-CompileService::shardCompileCycles(uint32_t shard) const
-{
-    if (shard >= shards_.size())
-        panic("CompileService: bad shard %u", shard);
-    return shards_[shard].compileCycles;
-}
-
 bool
 CompileService::shardHasKey(uint32_t shard, uint64_t key) const
 {

@@ -262,9 +262,6 @@ class CompileService
     /** Cached variants currently resident in one shard. */
     size_t shardOccupancy(uint32_t shard) const;
 
-    /** Compile cycles spent by one shard's backend. */
-    uint64_t shardCompileCycles(uint32_t shard) const;
-
     /** True when `key` is resident (uncorrupted) in `shard`. */
     bool shardHasKey(uint32_t shard, uint64_t key) const;
 

@@ -18,28 +18,11 @@ void
 Pc3dEngine::onStart(runtime::ProteanRuntime &rt)
 {
     qos_.start();
-    buildFuncLoads(rt.module());
     dispatchedMask_ = BitVector(rt.module().numLoads());
     for (size_t i = 0; i < qos_.coCores().size(); ++i)
         coPhase_.emplace_back(0.5);
     windowEnd_ = rt.machine().now() +
         rt.machine().msToCycles(opts_.warmupMs);
-}
-
-void
-Pc3dEngine::buildFuncLoads(const ir::Module &module)
-{
-    for (ir::FuncId f = 0; f < module.numFunctions(); ++f) {
-        auto &loads = funcLoads_[f];
-        for (const auto &bb : module.function(f).blocks()) {
-            for (const auto &inst : bb.insts) {
-                if (inst.op == ir::Opcode::Load &&
-                    inst.loadId != ir::kInvalidId) {
-                    loads.push_back(inst.loadId);
-                }
-            }
-        }
-    }
 }
 
 BitVector
@@ -66,7 +49,7 @@ Pc3dEngine::applyMask(runtime::ProteanRuntime &rt,
 {
     const ir::Module &module = rt.module();
     for (ir::FuncId f : space_.functions) {
-        const auto &loads = funcLoads_[f];
+        const auto &loads = rt.binaryIr().loads(f);
         bool changed = false;
         bool all_clear = true;
         for (ir::LoadId id : loads) {

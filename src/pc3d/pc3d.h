@@ -25,8 +25,6 @@
 #ifndef PROTEAN_PC3D_PC3D_H
 #define PROTEAN_PC3D_PC3D_H
 
-#include <unordered_map>
-
 #include "pc3d/heuristics.h"
 #include "pc3d/search.h"
 #include "runtime/qos.h"
@@ -86,9 +84,6 @@ class Pc3dEngine : public runtime::DecisionEngine
     /** Current controller nap intensity. */
     double currentNap() const { return nap_; }
 
-    /** Module-wide mask currently dispatched. */
-    const BitVector &currentMask() const { return dispatchedMask_; }
-
     uint64_t searchesStarted() const { return searches_; }
     uint64_t searchWindowsTotal() const { return searchWindows_; }
 
@@ -117,10 +112,6 @@ class Pc3dEngine : public runtime::DecisionEngine
     runtime::PhaseDetector hostPhase_{0.35};
     std::vector<runtime::PhaseDetector> coPhase_;
 
-    /** Per-function loads (for per-function dispatch diffs). */
-    std::unordered_map<ir::FuncId, std::vector<ir::LoadId>> funcLoads_;
-
-    void buildFuncLoads(const ir::Module &module);
     void startSearch(runtime::ProteanRuntime &rt);
     void applyRequest(runtime::ProteanRuntime &rt);
     void applyMask(runtime::ProteanRuntime &rt, const BitVector &mask);

@@ -134,7 +134,6 @@ class VariantSearch
     void startEval(const BitVector &mask, double lb, double ub);
     /** Called when the active VariantEval completes. */
     void evalFinished(double nap, double bps);
-    void advanceAlgorithm1(double nap, double bps);
     void startNextFlip();
     void finish();
 };

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "ir/serializer.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "support/logging.h"
@@ -30,12 +29,12 @@ LocalCompileBackend::compile(const CompileJob &job,
 
 RuntimeCompiler::RuntimeCompiler(sim::Machine &machine,
                                  sim::Process &proc,
-                                 const ir::Module &module,
+                                 const BinaryIr &ir,
                                  const codegen::VirtualizationMap &slots,
                                  uint32_t runtime_core,
                                  CompileBackend *backend)
-    : machine_(machine), proc_(proc), module_(module), slots_(slots),
-      runtimeCore_(runtime_core)
+    : machine_(machine), proc_(proc), ir_(ir), module_(ir.module()),
+      slots_(slots), runtimeCore_(runtime_core)
 {
     if (backend) {
         backend_ = backend;
@@ -43,19 +42,6 @@ RuntimeCompiler::RuntimeCompiler(sim::Machine &machine,
         ownedBackend_ = std::make_unique<LocalCompileBackend>(
             machine, runtime_core);
         backend_ = ownedBackend_.get();
-    }
-    funcLoads_.resize(module.numFunctions());
-    funcHashes_.resize(module.numFunctions());
-    for (ir::FuncId f = 0; f < module.numFunctions(); ++f) {
-        for (const auto &bb : module.function(f).blocks()) {
-            for (const auto &inst : bb.insts) {
-                if (inst.op == ir::Opcode::Load &&
-                    inst.loadId != ir::kInvalidId) {
-                    funcLoads_[f].push_back(inst.loadId);
-                }
-            }
-        }
-        funcHashes_[f] = ir::functionHash(module, f);
     }
 }
 
@@ -70,10 +56,10 @@ RuntimeCompiler::setRuntimeCore(uint32_t core)
 std::string
 RuntimeCompiler::maskKey(ir::FuncId func, const BitVector &mask) const
 {
-    if (func >= funcLoads_.size())
+    if (func >= module_.numFunctions())
         panic("RuntimeCompiler: bad function %u", func);
     std::string key = strformat("f%u:", func);
-    for (ir::LoadId id : funcLoads_[func])
+    for (ir::LoadId id : ir_.loads(func))
         key.push_back(id < mask.size() && mask.test(id) ? '1' : '0');
     return key;
 }
@@ -82,7 +68,7 @@ uint64_t
 RuntimeCompiler::contentKey(ir::FuncId func,
                             const std::string &key) const
 {
-    if (func >= funcHashes_.size())
+    if (func >= module_.numFunctions())
         panic("RuntimeCompiler: bad function %u", func);
     // FNV-1a over the function's IR hash, the restricted mask bits
     // (skipping the function-id prefix, which is already covered by
@@ -95,7 +81,7 @@ RuntimeCompiler::contentKey(ir::FuncId func,
             h *= 0x100000001b3ULL;
         }
     };
-    mix(funcHashes_[func]);
+    mix(ir_.hash(func));
     size_t colon = key.find(':');
     for (size_t i = colon + 1; i < key.size(); ++i) {
         h ^= static_cast<uint8_t>(key[i]);
@@ -103,13 +89,6 @@ RuntimeCompiler::contentKey(ir::FuncId func,
     }
     mix(static_cast<uint64_t>(slots_.size()));
     return h;
-}
-
-isa::CodeAddr
-RuntimeCompiler::cachedEntry(ir::FuncId func, const BitVector &mask) const
-{
-    auto it = cache_.find(maskKey(func, mask));
-    return it == cache_.end() ? isa::kInvalidCodeAddr : it->second;
 }
 
 isa::CodeAddr

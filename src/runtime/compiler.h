@@ -29,6 +29,7 @@
 
 #include "codegen/cost.h"
 #include "codegen/lowering.h"
+#include "runtime/attach.h"
 #include "sim/machine.h"
 #include "support/bitvector.h"
 
@@ -184,14 +185,14 @@ class RuntimeCompiler
     /**
      * @param machine The simulated machine (for time and cycles).
      * @param proc The host process (receives appended code).
-     * @param module The re-hydrated IR from the attachment.
+     * @param ir The attachment's IR product.
      * @param slots Virtualization map (nested calls stay indirect).
      * @param runtime_core Core charged with compile work.
      * @param backend Compile backend; nullptr selects an owned
      *        LocalCompileBackend on runtime_core.
      */
     RuntimeCompiler(sim::Machine &machine, sim::Process &proc,
-                    const ir::Module &module,
+                    const BinaryIr &ir,
                     const codegen::VirtualizationMap &slots,
                     uint32_t runtime_core,
                     CompileBackend *backend = nullptr);
@@ -218,10 +219,6 @@ class RuntimeCompiler
     {
         return variants_;
     }
-
-    /** Look up a cached variant; kInvalidCodeAddr if absent. */
-    isa::CodeAddr cachedEntry(ir::FuncId func,
-                              const BitVector &mask) const;
 
     /** Variants materialized into this server's code cache. */
     uint64_t compileCount() const { return compiles_; }
@@ -269,17 +266,13 @@ class RuntimeCompiler
   private:
     sim::Machine &machine_;
     sim::Process &proc_;
+    const BinaryIr &ir_;
     const ir::Module &module_;
     const codegen::VirtualizationMap &slots_;
     uint32_t runtimeCore_;
     codegen::CompileCostModel cost_;
     std::unique_ptr<LocalCompileBackend> ownedBackend_;
     CompileBackend *backend_;
-
-    /** Per-function list of its LoadIds (restriction support). */
-    std::vector<std::vector<ir::LoadId>> funcLoads_;
-    /** Per-function stable IR content hashes. */
-    std::vector<uint64_t> funcHashes_;
 
     std::unordered_map<std::string, isa::CodeAddr> cache_;
     std::vector<VariantRecord> variants_;

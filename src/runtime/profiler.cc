@@ -1,6 +1,5 @@
 #include "runtime/profiler.h"
 
-#include "ir/serializer.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "support/logging.h"
@@ -10,22 +9,12 @@ namespace runtime {
 
 VariantProfiler::VariantProfiler(sim::Machine &machine,
                                  uint32_t host_core,
-                                 const ir::Module &module,
+                                 const BinaryIr &ir,
                                  const ProfilerOptions &opts)
-    : machine_(machine), hostCore_(host_core), opts_(opts),
+    : machine_(machine), hostCore_(host_core), ir_(ir), opts_(opts),
       detector_(opts.phaseRateThreshold, opts.phaseAlpha,
                 opts.phaseCooldown)
 {
-    // Content hashes and names are derived from the binary once at
-    // attach; identical binaries on every server derive identical
-    // hashes, which is what makes fleet-wide profile merging mean
-    // something.
-    hashes_.reserve(module.numFunctions());
-    names_.reserve(module.numFunctions());
-    for (ir::FuncId f = 0; f < module.numFunctions(); ++f) {
-        hashes_.push_back(ir::functionHash(module, f));
-        names_.push_back(module.function(f).name());
-    }
     lastTick_ = hostHpm();
     lastSample_ = lastTick_;
 }
@@ -48,9 +37,10 @@ VariantProfiler::ipcOf(const sim::HpmCounters &delta)
 uint64_t
 VariantProfiler::funcHash(ir::FuncId func) const
 {
-    if (func == ir::kInvalidId || func >= hashes_.size())
-        return 0;
-    return hashes_[func];
+    // Identical binaries on every server attribute to identical
+    // hashes, which is what makes fleet-wide profile merging mean
+    // something.
+    return func < ir_.module().numFunctions() ? ir_.hash(func) : 0;
 }
 
 void
@@ -70,8 +60,9 @@ VariantProfiler::recordSample(ir::FuncId func,
     counts.cycles = delta.cycles;
     counts.instructions = delta.instructions;
     profile_.record(key, counts);
-    if (key.funcHash != 0 && func < names_.size())
-        profile_.setName(key.funcHash, names_[func]);
+    if (key.funcHash != 0)
+        profile_.setName(key.funcHash,
+                         ir_.module().function(func).name());
 }
 
 void
@@ -119,8 +110,9 @@ VariantProfiler::onFlipDispatched(ir::FuncId func,
 {
     Experiment e;
     e.record.funcHash = funcHash(func);
-    if (e.record.funcHash != 0 && func < names_.size())
-        profile_.setName(e.record.funcHash, names_[func]);
+    if (e.record.funcHash != 0)
+        profile_.setName(e.record.funcHash,
+                         ir_.module().function(func).name());
     e.record.mask = mask;
     e.record.phase = phase_;
     e.record.ipcBefore = lastWindowIpc_;

@@ -32,8 +32,8 @@
 #include <string>
 #include <vector>
 
-#include "ir/module.h"
 #include "obs/profile.h"
+#include "runtime/attach.h"
 #include "runtime/monitor.h"
 #include "sim/machine.h"
 
@@ -74,7 +74,7 @@ class VariantProfiler
 {
   public:
     VariantProfiler(sim::Machine &machine, uint32_t host_core,
-                    const ir::Module &module,
+                    const BinaryIr &ir,
                     const ProfilerOptions &opts = ProfilerOptions{});
 
     /**
@@ -129,6 +129,7 @@ class VariantProfiler
 
     sim::Machine &machine_;
     uint32_t hostCore_;
+    const BinaryIr &ir_;
     ProfilerOptions opts_;
     obs::Profile profile_;
     std::vector<FlipRecord> ledger_;
@@ -141,9 +142,6 @@ class VariantProfiler
     sim::HpmCounters lastTick_;
     /** HPM snapshot at the last recorded sample (attribution). */
     sim::HpmCounters lastSample_;
-    /** Per-FuncId content hashes and names, precomputed once. */
-    std::vector<uint64_t> hashes_;
-    std::vector<std::string> names_;
 
     sim::HpmCounters hostHpm() const;
     static double ipcOf(const sim::HpmCounters &delta);

@@ -19,7 +19,7 @@ ProteanRuntime::ProteanRuntime(sim::Machine &machine,
     evt_ = std::make_unique<EvtManager>(host_, att_.evtBase,
                                         att_.slots);
     compiler_ = std::make_unique<RuntimeCompiler>(
-        machine_, host_, *att_.module, evt_->slots(),
+        machine_, host_, *att_.ir, evt_->slots(),
         opts_.runtimeCore, opts_.compileBackend);
     compiler_->setCostModel(opts_.costModel);
     sampler_ = std::make_unique<PcSampler>(machine_, host_,
@@ -43,7 +43,7 @@ ProteanRuntime::ProteanRuntime(sim::Machine &machine,
             strformat(
                 "\"host\":\"%s\",\"functions\":%u,\"slots\":%zu",
                 host.name().c_str(),
-                static_cast<uint32_t>(att_.module->numFunctions()),
+                static_cast<uint32_t>(module().numFunctions()),
                 att_.slots.size()));
     }
 }
@@ -177,7 +177,7 @@ ProteanRuntime::enableProfiling(const ProfilerOptions &opts)
     if (profiler_)
         return;
     profiler_ = std::make_unique<VariantProfiler>(
-        machine_, host_.coreId(), *att_.module, opts);
+        machine_, host_.coreId(), *att_.ir, opts);
     sampler_->setProfiler(profiler_.get());
     obs::metrics().counter("runtime.profiler.enabled").inc();
 }
@@ -190,7 +190,7 @@ ProteanRuntime::revertAll()
         // Undo OSR redirects too: every flipped function's back-edges
         // return to the static lowering's loop headers, so a running
         // loop falls back to original code at its next back-edge.
-        std::vector<bool> done(att_.module->numFunctions(), false);
+        std::vector<bool> done(module().numFunctions(), false);
         for (const auto &v : compiler_->variants()) {
             if (done[v.func])
                 continue;

@@ -128,7 +128,9 @@ class ProteanRuntime
     uint32_t hostCore() const { return host_.coreId(); }
     uint32_t runtimeCore() const { return opts_.runtimeCore; }
 
-    const ir::Module &module() const { return *att_.module; }
+    const ir::Module &module() const { return att_.ir->module(); }
+    /** The attach product, shared with same-image runtimes. */
+    const BinaryIr &binaryIr() const { return *att_.ir; }
     EvtManager &evt() { return *evt_; }
     RuntimeCompiler &compiler() { return *compiler_; }
     PcSampler &sampler() { return *sampler_; }

@@ -175,10 +175,10 @@ TEST(ForceRecompile, BypassesCache)
     sim::Machine machine;
     sim::Process &proc = machine.load(image, 0);
     runtime::Attachment att = runtime::attach(proc);
-    runtime::RuntimeCompiler rc(machine, proc, *att.module,
+    runtime::RuntimeCompiler rc(machine, proc, *att.ir,
                                 att.slots, 1);
-    ir::FuncId hot = att.module->findFunction("hot_0")->id();
-    BitVector mask(att.module->numLoads());
+    ir::FuncId hot = att.ir->module().findFunction("hot_0")->id();
+    BitVector mask(att.ir->module().numLoads());
 
     rc.requestVariant(hot, mask, [](isa::CodeAddr) {});
     rc.requestVariant(hot, mask, [](isa::CodeAddr) {});

@@ -1,15 +1,21 @@
 /**
  * @file
- * Tests for the protean runtime: attach/discovery, EVT management,
- * the dynamic compiler (caching, latency, dispatch), monitoring
- * (PC sampling, HPM windows, phase detection), the nap governor and
- * flux QoS monitor, and the stress engine.
+ * Tests for the protean runtime: attach/discovery and the shared
+ * attach product, EVT management, the dynamic compiler (caching,
+ * latency, dispatch), monitoring (PC sampling, HPM windows, phase
+ * detection), the nap governor and flux QoS monitor, and the stress
+ * engine.
  */
 
 #include <gtest/gtest.h>
 
+#include <latch>
+#include <thread>
+
+#include "fleet/fleet.h"
 #include "ir/builder.h"
 #include "ir/printer.h"
+#include "ir/serializer.h"
 #include "pcc/pcc.h"
 #include "runtime/runtime.h"
 #include "runtime/stress.h"
@@ -96,7 +102,7 @@ TEST(Attach, DiscoversMetadata)
     EXPECT_EQ(att.evtBase, rig.image.evtBase);
     EXPECT_EQ(att.evtCount, rig.image.evtCount);
     ASSERT_TRUE(att.hasIr());
-    EXPECT_EQ(ir::toString(*att.module), ir::toString(rig.module));
+    EXPECT_EQ(ir::toString(att.ir->module()), ir::toString(rig.module));
     // hot is virtualized (multi-block); slot mapping recovered.
     ir::FuncId hot = rig.module.findFunction("hot")->id();
     EXPECT_EQ(att.slots.count(hot), 1u);
@@ -109,6 +115,147 @@ TEST(Attach, NonProteanIsFatal)
     sim::Machine machine;
     sim::Process &proc = machine.load(plain, 0);
     EXPECT_DEATH({ attach(proc); }, "not a protean binary");
+}
+
+TEST(Attach, IrBlobOutsideDataSegmentIsFatal)
+{
+    // The header is untrusted input: a blob size or base past the
+    // data segment must be refused before anything is allocated,
+    // including when base + size wraps around.
+    auto attach_with = [](uint64_t base, uint64_t size) {
+        ir::Module m = makeHostModule();
+        isa::Image image = pcc::compile(m);
+        image.setInitialWord(isa::kHdrIrBase, base);
+        image.setInitialWord(isa::kHdrIrSize, size);
+        sim::Machine machine;
+        attach(machine.load(image, 0));
+    };
+    EXPECT_DEATH(attach_with(isa::kHdrBytes, ~0ULL), "outside its");
+    EXPECT_DEATH(attach_with(~0ULL - 7, 16), "outside its");
+}
+
+/** Reference derivation: the function's load ids in IR order. */
+std::vector<ir::LoadId>
+scanLoads(const ir::Module &m, ir::FuncId f)
+{
+    std::vector<ir::LoadId> loads;
+    for (const auto &bb : m.function(f).blocks()) {
+        for (const auto &inst : bb.insts) {
+            if (inst.op == ir::Opcode::Load &&
+                inst.loadId != ir::kInvalidId)
+                loads.push_back(inst.loadId);
+        }
+    }
+    return loads;
+}
+
+/** A batch binary as FleetSim and the colocation cells build it. */
+isa::Image
+batchImage(const std::string &name)
+{
+    ir::Module m = workloads::buildBatch(workloads::batchSpec(name));
+    return pcc::compile(m);
+}
+
+TEST(BinaryIr, IndexMatchesPerFunctionDerivation)
+{
+    for (const std::string &name : workloads::contentiousBatchNames()) {
+        ir::Module m =
+            workloads::buildBatch(workloads::batchSpec(name));
+        isa::Image image = pcc::compile(m);
+        sim::Machine machine;
+        Attachment att = attach(machine.load(image, 0));
+        ASSERT_TRUE(att.hasIr());
+        ASSERT_EQ(att.ir->module().numFunctions(), m.numFunctions());
+        for (ir::FuncId f = 0; f < m.numFunctions(); ++f) {
+            EXPECT_EQ(att.ir->hash(f), ir::functionHash(m, f))
+                << name << " " << m.function(f).name();
+            EXPECT_EQ(att.ir->loads(f), scanLoads(m, f))
+                << name << " " << m.function(f).name();
+        }
+    }
+}
+
+TEST(BinaryIr, SharedAcrossMachinesRunningTheSameImage)
+{
+    isa::Image soplex = batchImage("soplex");
+    sim::Machine a;
+    sim::Machine b;
+    Attachment att_a = attach(a.load(soplex, 0));
+    Attachment att_b = attach(b.load(soplex, 0));
+    EXPECT_EQ(att_a.ir.get(), att_b.ir.get());
+    // Per-process facts stay per process.
+    EXPECT_EQ(att_a.slots, att_b.slots);
+
+    // A separately compiled copy embeds identical bytes.
+    isa::Image again = batchImage("soplex");
+    sim::Machine c;
+    EXPECT_EQ(attach(c.load(again, 0)).ir.get(), att_a.ir.get());
+
+    isa::Image lbm = batchImage("lbm");
+    sim::Machine d;
+    Attachment att_d = attach(d.load(lbm, 0));
+    EXPECT_NE(att_d.ir.get(), att_a.ir.get());
+    EXPECT_NE(att_d.ir->hash(0), 0u);
+}
+
+TEST(BinaryIr, FreedWithTheLastRuntime)
+{
+    HostRig rig;
+    std::weak_ptr<const BinaryIr> first;
+    {
+        auto rt1 = std::make_unique<ProteanRuntime>(rig.machine,
+                                                    *rig.proc);
+        sim::Machine other;
+        ProteanRuntime rt2(other, other.load(rig.image, 0));
+        EXPECT_EQ(&rt1->binaryIr(), &rt2.binaryIr());
+        first = attach(*rig.proc).ir;
+        rt1.reset();
+        EXPECT_FALSE(first.expired());
+    }
+    EXPECT_TRUE(first.expired());
+    // Nothing holds the old product: this attach decodes afresh.
+    Attachment att = attach(*rig.proc);
+    ASSERT_TRUE(att.hasIr());
+    EXPECT_EQ(ir::toString(att.ir->module()), ir::toString(rig.module));
+}
+
+TEST(BinaryIr, ConcurrentAttachesShareOneProduct)
+{
+    isa::Image image = batchImage("soplex");
+    sim::Machine a;
+    sim::Machine b;
+    sim::Process &pa = a.load(image, 0);
+    sim::Process &pb = b.load(image, 0);
+    Attachment att_a;
+    Attachment att_b;
+    std::latch go(2);
+    std::thread ta([&] {
+        go.arrive_and_wait();
+        att_a = attach(pa);
+    });
+    std::thread tb([&] {
+        go.arrive_and_wait();
+        att_b = attach(pb);
+    });
+    ta.join();
+    tb.join();
+    ASSERT_TRUE(att_a.hasIr());
+    EXPECT_EQ(att_a.ir.get(), att_b.ir.get());
+}
+
+TEST(BinaryIr, FleetDecodesItsBlobOnce)
+{
+    fleet::FleetConfig cfg;
+    cfg.numServers = 16;
+    fleet::FleetSim sim(cfg);
+    // Each runtime holds its product through exactly one reference,
+    // so 16 servers + this attachment holding one product means
+    // every server's rt->module() is the same object, decoded once.
+    isa::Image image = batchImage(cfg.batch);
+    sim::Machine machine;
+    Attachment att = attach(machine.load(image, 0));
+    EXPECT_EQ(att.ir.use_count(), 17);
 }
 
 TEST(EvtManager, RetargetAndRevert)
@@ -132,10 +279,10 @@ TEST(RuntimeCompiler, CompilesAndCaches)
 {
     HostRig rig;
     Attachment att = attach(*rig.proc);
-    RuntimeCompiler rc(rig.machine, *rig.proc, *att.module,
+    RuntimeCompiler rc(rig.machine, *rig.proc, *att.ir,
                        att.slots, 1);
-    ir::FuncId hot = att.module->findFunction("hot")->id();
-    BitVector mask(att.module->numLoads(), true);
+    ir::FuncId hot = att.ir->module().findFunction("hot")->id();
+    BitVector mask(att.ir->module().numLoads(), true);
 
     isa::CodeAddr got = isa::kInvalidCodeAddr;
     rc.requestVariant(hot, mask,
@@ -159,12 +306,12 @@ TEST(RuntimeCompiler, MaskKeyRestrictsToFunction)
 {
     HostRig rig;
     Attachment att = attach(*rig.proc);
-    RuntimeCompiler rc(rig.machine, *rig.proc, *att.module,
+    RuntimeCompiler rc(rig.machine, *rig.proc, *att.ir,
                        att.slots, 1);
-    ir::FuncId hot = att.module->findFunction("hot")->id();
+    ir::FuncId hot = att.ir->module().findFunction("hot")->id();
     // Masks differing only outside hot's loads share a key.
-    BitVector a(att.module->numLoads());
-    BitVector c(att.module->numLoads());
+    BitVector a(att.ir->module().numLoads());
+    BitVector c(att.ir->module().numLoads());
     EXPECT_EQ(rc.maskKey(hot, a), rc.maskKey(hot, c));
     a.set(0);
     EXPECT_NE(rc.maskKey(hot, a), rc.maskKey(hot, c));
@@ -174,10 +321,10 @@ TEST(RuntimeCompiler, CompileChargedToRuntimeCore)
 {
     HostRig rig;
     Attachment att = attach(*rig.proc);
-    RuntimeCompiler rc(rig.machine, *rig.proc, *att.module,
+    RuntimeCompiler rc(rig.machine, *rig.proc, *att.ir,
                        att.slots, 2);
-    ir::FuncId hot = att.module->findFunction("hot")->id();
-    BitVector mask(att.module->numLoads(), true);
+    ir::FuncId hot = att.ir->module().findFunction("hot")->id();
+    BitVector mask(att.ir->module().numLoads(), true);
     rc.requestVariant(hot, mask, [](isa::CodeAddr) {});
     rig.machine.runFor(rig.machine.msToCycles(50));
     EXPECT_EQ(rig.machine.core(2).hpm().stolenCycles,
