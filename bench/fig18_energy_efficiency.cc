@@ -31,30 +31,25 @@ main(int argc, char **argv)
                 "(PC3D / No Co-location)");
     t.setHeader({"Pairing", "Mean batch util", "Efficiency ratio"});
     for (const auto &service : workloads::webserviceNames()) {
+        // Every member's server: the batch is set per member.
+        datacenter::ColoConfig cell;
+        cell.service = service;
+        cell.qosTarget = 0.95;
+        cell.qps = 120.0;
+        cell.system = datacenter::System::Pc3d;
+        cell.settleMs = 4000.0;
+        cell.measureMs = 2000.0;
         for (const auto &[mix, members] :
              datacenter::tableThreeMixes()) {
             datacenter::ScaleOutResult r;
             if (use_fleet) {
-                datacenter::FleetMixConfig fcfg;
-                fcfg.service = service;
-                fcfg.qps = 120.0;
-                fcfg.serversPerApp = 1;
-                fcfg.settleMs = 4000.0;
-                fcfg.measureMs = 2000.0;
-                r = datacenter::analyzeMixFromFleet(
-                        service, mix, members, {}, fcfg)
+                r = datacenter::analyzeMixFromFleet(cell, mix, members)
                         .scaleout;
             } else {
                 std::vector<double> utils;
                 for (const auto &batch : members) {
-                    datacenter::ColoConfig cfg;
-                    cfg.service = service;
+                    datacenter::ColoConfig cfg = cell;
                     cfg.batch = batch;
-                    cfg.qosTarget = 0.95;
-                    cfg.qps = 120.0;
-                    cfg.system = datacenter::System::Pc3d;
-                    cfg.settleMs = 4000.0;
-                    cfg.measureMs = 2000.0;
                     utils.push_back(
                         datacenter::runColocation(cfg).utilization);
                 }

@@ -3,27 +3,14 @@
 namespace protean {
 namespace baselines {
 
-sim::BtConfig
-defaultBtConfig()
-{
-    // The calibrated per-transfer costs live with the struct
-    // definition (sim/config.h); only arm the mode here.
-    sim::BtConfig cfg;
-    cfg.enabled = true;
-    return cfg;
-}
-
-void
-enableBinaryTranslation(sim::Machine &machine, uint32_t core,
-                        const sim::BtConfig &cfg)
-{
-    machine.core(core).setBtConfig(cfg);
-}
-
 void
 enableBinaryTranslation(sim::Machine &machine, uint32_t core)
 {
-    enableBinaryTranslation(machine, core, defaultBtConfig());
+    // The calibrated per-transfer costs live with the core model
+    // (sim/core.cc); only arm the mode here.
+    sim::BtConfig cfg;
+    cfg.enabled = true;
+    machine.core(core).setBtConfig(cfg);
 }
 
 } // namespace baselines

@@ -20,14 +20,7 @@
 namespace protean {
 namespace baselines {
 
-/** Default cost parameters for the translation baseline. */
-sim::BtConfig defaultBtConfig();
-
 /** Run the process bound to this core under binary translation. */
-void enableBinaryTranslation(sim::Machine &machine, uint32_t core,
-                             const sim::BtConfig &cfg);
-
-/** Convenience overload with default costs. */
 void enableBinaryTranslation(sim::Machine &machine, uint32_t core);
 
 } // namespace baselines

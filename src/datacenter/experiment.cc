@@ -94,8 +94,6 @@ struct ColoCellImpl
                 machine, *batch, ropts);
             pc3d::Pc3dOptions popts;
             popts.qosTarget = cfg.qosTarget;
-            if (cfg.pc3dWindowMs > 0.0)
-                popts.windowMs = cfg.pc3dWindowMs;
             engine = std::make_unique<pc3d::Pc3dEngine>(*qos, popts);
             rt->setEngine(engine.get());
             rt->start();
@@ -127,48 +125,6 @@ struct ColoCellImpl
         return rt ? rt->runtimeCycles() : 0;
     }
 };
-
-namespace {
-
-ColoResult
-finalize(const ColoConfig &cfg, ColoCellImpl &rig, ColoResult result,
-         uint64_t measure_cycles, const sim::HpmCounters &host0,
-         const sim::HpmCounters &co0)
-{
-    sim::HpmCounters host =
-        rig.machine.core(kBatchCore).hpm() - host0;
-    sim::HpmCounters co =
-        rig.machine.core(kServiceCore).hpm() - co0;
-
-    double host_bpc = measure_cycles == 0 ? 0.0 :
-        static_cast<double>(host.branches) /
-        static_cast<double>(measure_cycles);
-    result.utilization =
-        host_bpc / soloBatchBpc(cfg.batch, cfg.machine);
-
-    double solo = rig.qos->soloIps(kServiceCore);
-    double co_ips = measure_cycles == 0 ? 0.0 :
-        static_cast<double>(co.instructions) /
-        static_cast<double>(measure_cycles);
-    result.qos = solo > 0.0 ? std::min(co_ips / solo, 1.1) : 1.0;
-
-    result.nap = rig.currentNap();
-    if (rig.rt) {
-        result.runtimeShare = rig.rt->serverCycleShare();
-        result.fullLoads = rig.engine->space().fullProgramLoads;
-        result.activeLoads = rig.engine->space().activeRegionLoads;
-        result.maxDepthLoads = rig.engine->space().maxDepthLoads;
-        obs::metrics().gauge("runtime.server_cycle_share")
-            .set(result.runtimeShare);
-    }
-    rig.machine.exportObsMetrics();
-    obs::metrics().gauge("experiment.utilization")
-        .set(result.utilization);
-    obs::metrics().gauge("experiment.qos").set(result.qos);
-    return result;
-}
-
-} // namespace
 
 double
 soloBatchBpc(const std::string &batch, const sim::MachineConfig &mcfg)
@@ -231,11 +187,42 @@ ColoCell::beginMeasure()
 ColoResult
 ColoCell::finish()
 {
-    if (!impl_->measuring)
+    ColoCellImpl &rig = *impl_;
+    if (!rig.measuring)
         fatal("ColoCell::finish called before beginMeasure");
-    uint64_t cycles = impl_->machine.now() - impl_->measureStart;
-    return finalize(cfg_, *impl_, ColoResult{}, cycles,
-                    impl_->host0, impl_->co0);
+    uint64_t cycles = rig.machine.now() - rig.measureStart;
+    sim::HpmCounters host =
+        rig.machine.core(kBatchCore).hpm() - rig.host0;
+    sim::HpmCounters co =
+        rig.machine.core(kServiceCore).hpm() - rig.co0;
+
+    ColoResult result;
+    double host_bpc = cycles == 0 ? 0.0 :
+        static_cast<double>(host.branches) /
+        static_cast<double>(cycles);
+    result.utilization =
+        host_bpc / soloBatchBpc(cfg_.batch, cfg_.machine);
+
+    double solo = rig.qos->soloIps(kServiceCore);
+    double co_ips = cycles == 0 ? 0.0 :
+        static_cast<double>(co.instructions) /
+        static_cast<double>(cycles);
+    result.qos = solo > 0.0 ? std::min(co_ips / solo, 1.1) : 1.0;
+
+    result.nap = rig.currentNap();
+    if (rig.rt) {
+        result.runtimeShare = rig.rt->serverCycleShare();
+        result.fullLoads = rig.engine->space().fullProgramLoads;
+        result.activeLoads = rig.engine->space().activeRegionLoads;
+        result.maxDepthLoads = rig.engine->space().maxDepthLoads;
+        obs::metrics().gauge("runtime.server_cycle_share")
+            .set(result.runtimeShare);
+    }
+    rig.machine.exportObsMetrics();
+    obs::metrics().gauge("experiment.utilization")
+        .set(result.utilization);
+    obs::metrics().gauge("experiment.qos").set(result.qos);
+    return result;
 }
 
 ColoResult
@@ -253,8 +240,9 @@ runColocationTrace(const ColoConfig &cfg, double sample_ms)
 {
     if (sample_ms <= 0.0)
         fatal("runColocationTrace: sample_ms must be positive");
-    ColoCellImpl rig(cfg);
-    ColoResult result;
+    ColoCell cell(cfg);
+    ColoCellImpl &rig = cell.impl();
+    std::vector<TraceSample> trace;
 
     double total_ms = cfg.settleMs + cfg.measureMs;
     uint64_t sample = rig.machine.msToCycles(sample_ms);
@@ -262,12 +250,7 @@ runColocationTrace(const ColoConfig &cfg, double sample_ms)
     // experiment-level signals sampled below.
     rig.machine.startObsSampling(sample_ms);
 
-    sim::HpmCounters host0, co0;
-    uint64_t measure_start =
-        rig.machine.msToCycles(cfg.settleMs);
-    uint64_t measure_cycles = rig.machine.msToCycles(cfg.measureMs);
-    bool measuring = false;
-
+    uint64_t measure_start = rig.machine.msToCycles(cfg.settleMs);
     sim::HpmCounters last_host = rig.machine.core(kBatchCore).hpm();
     sim::HpmCounters last_co = rig.machine.core(kServiceCore).hpm();
     uint64_t last_rtc = 0;
@@ -276,12 +259,8 @@ runColocationTrace(const ColoConfig &cfg, double sample_ms)
     for (double t = 0.0; t < total_ms; t += sample_ms) {
         rig.machine.run(start + rig.machine.msToCycles(t) + sample);
 
-        if (!measuring &&
-            rig.machine.now() - start >= measure_start) {
-            host0 = rig.machine.core(kBatchCore).hpm();
-            co0 = rig.machine.core(kServiceCore).hpm();
-            measuring = true;
-        }
+        if (!rig.measuring && rig.machine.now() - start >= measure_start)
+            cell.beginMeasure();
 
         sim::HpmCounters host = rig.machine.core(kBatchCore).hpm();
         sim::HpmCounters co = rig.machine.core(kServiceCore).hpm();
@@ -311,11 +290,12 @@ runColocationTrace(const ColoConfig &cfg, double sample_ms)
         tr.counter("experiment", "qos", s.qos);
         tr.counter("experiment", "runtime_share", s.runtimeShare);
         tr.counter("experiment", "nap", s.nap);
-        result.trace.push_back(s);
+        trace.push_back(s);
     }
 
-    return finalize(cfg, rig, std::move(result), measure_cycles,
-                    host0, co0);
+    ColoResult result = cell.finish();
+    result.trace = std::move(trace);
+    return result;
 }
 
 } // namespace datacenter

@@ -67,8 +67,6 @@ struct ColoConfig
     double measureMs = 4000.0;
     /** Machine configuration. */
     sim::MachineConfig machine;
-    /** Override PC3D evaluation-window length (0 = default). */
-    double pc3dWindowMs = 0.0;
     /**
      * Optional compile-backend factory (Pc3d only). Called with the
      * cell's machine and the runtime core once both exist; the
@@ -157,8 +155,9 @@ ColoResult runColocation(const ColoConfig &cfg);
 
 /**
  * Run one cell while recording a timeline every sample_ms.
- * The run lasts cfg.settleMs + cfg.measureMs; utilization/qos are
- * still measured over the final cfg.measureMs.
+ * The run takes whole samples until it reaches cfg.settleMs +
+ * cfg.measureMs; utilization/qos are measured from the first sample
+ * boundary at or after cfg.settleMs to the end of the run.
  */
 ColoResult runColocationTrace(const ColoConfig &cfg, double sample_ms);
 

@@ -11,79 +11,52 @@ namespace protean {
 namespace datacenter {
 
 FleetMixResult
-analyzeMixFromFleet(const std::string &service_name,
+analyzeMixFromFleet(const ColoConfig &cell,
                     const std::string &mix_name,
                     const std::vector<std::string> &batches,
-                    const ScaleOutParams &params,
-                    const FleetMixConfig &fcfg)
+                    const ScaleOutParams &params)
 {
     if (batches.empty())
         fatal("analyzeMixFromFleet: empty mix");
-    if (fcfg.serversPerApp == 0)
-        fatal("analyzeMixFromFleet: serversPerApp must be > 0");
 
-    fleet::CompileService svc(fcfg.compileService);
+    fleet::CompileService svc{fleet::ServiceConfig{}};
     fleet::Cluster cluster(svc);
 
-    // One cell per (member, replica): a whole colocated server. All
-    // cells running the same batch binary produce identical content
-    // keys, which is what the shared service dedups.
+    // One cell per member: a whole colocated server. Cells running
+    // the same batch binary produce identical content keys, which is
+    // what the shared service dedups.
     std::vector<std::unique_ptr<ColoCell>> cells;
-    uint32_t server_id = 0;
     for (const std::string &batch : batches) {
-        for (uint32_t r = 0; r < fcfg.serversPerApp; ++r) {
-            ColoConfig cfg;
-            cfg.service = fcfg.service;
-            cfg.batch = batch;
-            cfg.qosTarget = fcfg.qosTarget;
-            cfg.qps = fcfg.qps;
-            cfg.system = System::Pc3d;
-            cfg.settleMs = fcfg.settleMs;
-            cfg.measureMs = fcfg.measureMs;
-            cfg.machine = fcfg.machine;
-            if (fcfg.remoteBackend) {
-                uint32_t id = server_id;
-                cfg.backendFactory =
-                    [&svc, id, &fcfg](sim::Machine &m,
-                                      uint32_t runtime_core) {
-                        return std::make_unique<
-                            fleet::RemoteBackend>(
-                            svc, m, id, runtime_core,
-                            fcfg.installCycles);
-                    };
-            }
-            cells.push_back(std::make_unique<ColoCell>(cfg));
-            cluster.addMachine(cells.back()->machine());
-            ++server_id;
-        }
+        ColoConfig cfg = cell;
+        cfg.batch = batch;
+        cfg.system = System::Pc3d;
+        uint32_t id = static_cast<uint32_t>(cells.size());
+        cfg.backendFactory = [&svc, id](sim::Machine &m,
+                                        uint32_t runtime_core) {
+            return std::make_unique<fleet::RemoteBackend>(
+                svc, m, id, runtime_core);
+        };
+        cells.push_back(std::make_unique<ColoCell>(cfg));
+        cluster.addMachine(cells.back()->machine());
     }
 
-    uint64_t settle = fcfg.machine.msToCycles(fcfg.settleMs);
-    uint64_t measure = fcfg.machine.msToCycles(fcfg.measureMs);
-    cluster.runFor(settle);
-    for (auto &cell : cells)
-        cell->beginMeasure();
-    cluster.runFor(measure);
+    cluster.runFor(cell.machine.msToCycles(cell.settleMs));
+    for (auto &c : cells)
+        c->beginMeasure();
+    cluster.runFor(cell.machine.msToCycles(cell.measureMs));
 
     FleetMixResult res;
-    size_t i = 0;
-    for (size_t b = 0; b < batches.size(); ++b) {
-        double util = 0.0;
-        double qos = 0.0;
-        for (uint32_t r = 0; r < fcfg.serversPerApp; ++r, ++i) {
-            ColoResult cr = cells[i]->finish();
-            util += cr.utilization;
-            qos += cr.qos;
-            res.serverCompileCycles +=
-                cells[i]->runtime()->compiler().compileCycles();
-        }
-        res.utils.push_back(util / fcfg.serversPerApp);
-        res.qos.push_back(qos / fcfg.serversPerApp);
+    for (auto &c : cells) {
+        ColoResult cr = c->finish();
+        res.utils.push_back(cr.utilization);
+        res.qos.push_back(cr.qos);
+        res.serverCompileCycles +=
+            c->runtime()->compiler().compileCycles();
     }
 
     res.service = svc.stats();
     svc.exportObsMetrics();
-    res.scaleout = analyzeMix(service_name, mix_name, res.utils,
+    res.scaleout = analyzeMix(cell.service, mix_name, res.utils,
                               params);
     return res;
 }

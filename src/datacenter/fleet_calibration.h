@@ -5,10 +5,10 @@
  * The analytic scale-out model (scaleout.h) consumes per-application
  * batch utilizations; historically those came from independent
  * single-server colocation runs. This module measures them from a
- * real (small-N) fleet instead: serversPerApp colocation cells per
- * mix member — each a full server with its latency-sensitive
- * co-runner, PC3D runtime and QoS control — advance in lockstep
- * while sharing one fleet compilation service, so the utilization
+ * real (small-N) fleet instead: one colocation cell per mix member —
+ * each a full server with its latency-sensitive co-runner, PC3D
+ * runtime and QoS control — advance in lockstep while sharing one
+ * fleet compilation service, so the utilization
  * fed into Figure 17/18 reflects compile costs as a warehouse
  * deployment would actually pay them (amortized across servers,
  * paper Section V-E) rather than each server compiling alone.
@@ -27,38 +27,16 @@
 namespace protean {
 namespace datacenter {
 
-/** Fleet-run parameters for one mix calibration. */
-struct FleetMixConfig
-{
-    /** Latency-sensitive co-runner on every server. */
-    std::string service = "web-search";
-    double qosTarget = 0.95;
-    double qps = 60.0;
-    /** Colocation cells per mix member. */
-    uint32_t serversPerApp = 2;
-    /** Warmup + search time before measuring (per cell). */
-    double settleMs = 6000.0;
-    double measureMs = 4000.0;
-    /** Shared compilation service configuration. */
-    fleet::ServiceConfig compileService;
-    /** false = every server compiles locally (comparison runs). */
-    bool remoteBackend = true;
-    /** Cost of installing a service-delivered variant. */
-    uint64_t installCycles = 100;
-    sim::MachineConfig machine;
-};
-
 /** One fleet-calibrated mix analysis. */
 struct FleetMixResult
 {
-    /** Per-member mean utilization (order follows the mix). */
+    /** Per-member utilization (order follows the mix). */
     std::vector<double> utils;
-    /** Per-member mean QoS (order follows the mix). */
+    /** Per-member QoS (order follows the mix). */
     std::vector<double> qos;
     /** Compilation-service counters over the whole run. */
     fleet::ServiceStats service;
-    /** Compile cycles charged to servers (install costs, or full
-     *  compiles when remoteBackend is off). */
+    /** Compile cycles charged to servers (their install costs). */
     uint64_t serverCompileCycles = 0;
     /** The analytic model applied to the fleet-measured utils. */
     ScaleOutResult scaleout;
@@ -66,19 +44,21 @@ struct FleetMixResult
 
 /**
  * Run a small-N fleet for one batch mix and feed the measured
- * utilizations through analyzeMix.
- * @param service_name Webservice name (co-runner and labeling).
+ * utilizations through analyzeMix. Each member runs on one PC3D
+ * server whose compiles go to a shared service (default
+ * fleet::ServiceConfig).
+ * @param cell Every server's cell: the co-runner (also the label),
+ *        QoS target, load, settle/measure times and machine. Its
+ *        batch, system and backend are set per member.
  * @param mix_name Batch-mix label (Table III: WL1-WL3).
  * @param batches The mix's member batch applications.
  */
-FleetMixResult analyzeMixFromFleet(const std::string &service_name,
+FleetMixResult analyzeMixFromFleet(const ColoConfig &cell,
                                    const std::string &mix_name,
                                    const std::vector<std::string>
                                        &batches,
                                    const ScaleOutParams &params
-                                   = ScaleOutParams{},
-                                   const FleetMixConfig &fcfg
-                                   = FleetMixConfig{});
+                                   = ScaleOutParams{});
 
 } // namespace datacenter
 } // namespace protean

@@ -10,6 +10,11 @@ namespace datacenter {
 
 namespace {
 
+constexpr uint32_t kCoresPerServer = 4;
+/** CPU busy fraction of a latency-sensitive instance at the modeled
+ *  load level. */
+constexpr double kLsBusyFraction = 0.45;
+
 /** Linear CPU-utilization power model, in units of peak power. */
 double
 serverPower(double util, double idle_fraction)
@@ -42,8 +47,8 @@ analyzeMix(const std::string &service, const std::string &mix_name,
         static_cast<uint32_t>(std::ceil(extra));
 
     // Per-server CPU utilization: each instance occupies one core.
-    double cores = params.coresPerServer;
-    double ls_util = params.lsBusyFraction / cores;
+    double cores = kCoresPerServer;
+    double ls_util = kLsBusyFraction / cores;
     double batch_util = r.meanUtilization / cores;
 
     double p_pc3d = static_cast<double>(params.baseServers) *

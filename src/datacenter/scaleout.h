@@ -32,10 +32,6 @@ struct ScaleOutParams
     uint32_t baseServers = 10000;
     /** Idle power as a fraction of peak. */
     double idlePowerFraction = 0.5;
-    uint32_t coresPerServer = 4;
-    /** CPU busy fraction of a latency-sensitive instance at the
-     *  modeled load level. */
-    double lsBusyFraction = 0.45;
 };
 
 /** Result for one (webservice, batch-mix) pairing. */

@@ -19,6 +19,11 @@ constexpr uint64_t kTagShardStream = 0x54a2;
 constexpr uint64_t kTagMiscompile = 0xbadc;
 constexpr uint64_t kTagMiscompileShape = 0x5a9e;
 
+/** In-transit delay of a delayed request, in cycles. */
+constexpr uint64_t kRequestDelayCycles = 2000;
+/** Length of one injected server pause, in cycles. */
+constexpr uint64_t kServerPauseCycles = 10000;
+
 } // namespace
 
 const char *
@@ -146,7 +151,7 @@ FaultPlan::requestDelay(uint64_t seq) const
     if (cfg_.requestDelayProb <= 0.0)
         return 0;
     return hash01(kTagDelay, seq, 0) < cfg_.requestDelayProb ?
-        cfg_.requestDelayCycles : 0;
+        kRequestDelayCycles : 0;
 }
 
 bool
@@ -201,7 +206,7 @@ FaultPlan::serverPauseCycles(uint32_t server,
         return 0;
     return hash01(kTagPause, server, quantum_start) <
             cfg_.serverPauseProb ?
-        cfg_.serverPauseCycles : 0;
+        kServerPauseCycles : 0;
 }
 
 } // namespace faults

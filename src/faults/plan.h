@@ -56,10 +56,9 @@ struct FaultConfig
     /** Probability a request is dropped in transit (no response;
      *  the client's timeout is the only signal). */
     double requestDropProb = 0.0;
-    /** Probability a request is delayed in transit... */
+    /** Probability a request is delayed in transit (by a fixed
+     *  delay, plan.cc). */
     double requestDelayProb = 0.0;
-    /** ...by this many cycles. */
-    uint64_t requestDelayCycles = 2000;
 
     /** Probability a response payload is corrupted in transit
      *  (client-side checksum rejects it). */
@@ -70,10 +69,9 @@ struct FaultConfig
     double cacheCorruptProb = 0.0;
 
     /** Probability a given server pauses in a given quantum (GC /
-     *  migration blackout; its cores make no progress)... */
+     *  migration blackout; its cores make no progress) for a fixed
+     *  pause (plan.cc). */
     double serverPauseProb = 0.0;
-    /** ...for this many cycles. */
-    uint64_t serverPauseCycles = 10000;
 
     /** Probability a service-side compile emerges *miscompiled*
      *  (a seeded semantic mutation of the variant's instruction

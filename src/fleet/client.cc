@@ -9,6 +9,19 @@
 namespace protean {
 namespace fleet {
 
+namespace {
+
+/** Modeled cost of installing a received variant (EVT patch +
+ *  bookkeeping). */
+constexpr uint64_t kInstallCycles = 100;
+/** Backoff jitter: multiplier drawn uniformly from [1-frac, 1+frac)
+ *  out of the per-server seeded stream. */
+constexpr double kJitterFrac = 0.5;
+/** Seed domain for the per-server jitter stream. */
+constexpr uint64_t kJitterSeed = 0x7e77a;
+
+} // namespace
+
 // ---------------------------------------------------------------- //
 //                         CircuitBreaker                           //
 // ---------------------------------------------------------------- //
@@ -73,10 +86,9 @@ CircuitBreaker::trip(uint64_t now)
 
 RemoteBackend::RemoteBackend(CompileService &svc,
                              sim::Machine &machine,
-                             uint32_t server_id, uint32_t install_core,
-                             uint64_t install_cycles)
+                             uint32_t server_id, uint32_t install_core)
     : svc_(svc), machine_(machine), serverId_(server_id),
-      installCore_(install_core), installCycles_(install_cycles),
+      installCore_(install_core),
       breaker_(CircuitBreaker::Config{}), jitterRng_(0),
       local_(machine, install_core)
 {
@@ -120,7 +132,7 @@ RemoteBackend::setRetryPolicy(const RetryPolicy &policy)
     // Per-server jitter stream: independent across servers, consumed
     // in this machine's event order, so it never couples servers.
     jitterRng_ =
-        Rng(mix64(policy.jitterSeed) ^ mix64(serverId_ + 0x9e37));
+        Rng(mix64(kJitterSeed) ^ mix64(serverId_ + 0x9e37));
 }
 
 void
@@ -156,7 +168,7 @@ RemoteBackend::compile(const runtime::CompileJob &job,
             [this, send, done = std::move(done)](
                 const runtime::CompileOutcome &out) {
                 machine_.core(installCore_)
-                    .stealCycles(installCycles_);
+                    .stealCycles(kInstallCycles);
                 recordResolve(send, out.readyCycle);
                 if (obs::tracer().enabled()) {
                     obs::tracer().instant(
@@ -177,7 +189,7 @@ RemoteBackend::compile(const runtime::CompileJob &job,
                                   out.remoteHit ? "hit" : "miss"));
                 }
                 runtime::CompileOutcome charged = out;
-                charged.chargedCycles = installCycles_;
+                charged.chargedCycles = kInstallCycles;
                 done(charged);
             });
         return;
@@ -333,8 +345,8 @@ RemoteBackend::backoffCycles(uint32_t attempt)
     uint64_t base =
         std::min(policy_.backoffCapCycles,
                  policy_.backoffBaseCycles << shift);
-    double mult = 1.0 - policy_.jitterFrac +
-        2.0 * policy_.jitterFrac * jitterRng_.nextDouble();
+    double mult = 1.0 - kJitterFrac +
+        2.0 * kJitterFrac * jitterRng_.nextDouble();
     uint64_t cycles =
         static_cast<uint64_t>(static_cast<double>(base) * mult);
     return std::max<uint64_t>(1, cycles);
@@ -349,7 +361,7 @@ RemoteBackend::resolveSuccess(const PendingPtr &p,
     breaker_.onSuccess(machine_.now());
     recordResolve(p->sendCycle, out.readyCycle);
 
-    machine_.core(installCore_).stealCycles(installCycles_);
+    machine_.core(installCore_).stealCycles(kInstallCycles);
     if (obs::tracer().enabled()) {
         obs::tracer().instant(
             "fleet.client",
@@ -369,7 +381,7 @@ RemoteBackend::resolveSuccess(const PendingPtr &p,
                       out.remoteHit ? "hit" : "miss"));
     }
     runtime::CompileOutcome charged = out;
-    charged.chargedCycles = installCycles_;
+    charged.chargedCycles = kInstallCycles;
     p->done(charged);
 }
 

@@ -121,11 +121,6 @@ struct RetryPolicy
     /** Backoff before retry k is base << (k-1), capped. */
     uint64_t backoffBaseCycles = 2000;
     uint64_t backoffCapCycles = 64000;
-    /** Backoff jitter: multiplier drawn uniformly from
-     *  [1-frac, 1+frac) out of the per-server seeded stream. */
-    double jitterFrac = 0.5;
-    /** Seed domain for the per-server jitter stream. */
-    uint64_t jitterSeed = 0x7e77a;
     /** Hedge the first attempt with a duplicate to the next replica
      *  after this many cycles without a response (0 = no hedging). */
     uint64_t hedgeAfterCycles = 0;
@@ -165,12 +160,9 @@ class RemoteBackend : public runtime::CompileBackend
      * @param machine This server's machine (send times, installs).
      * @param server_id Fleet-wide server index (stats, traces).
      * @param install_core Core charged with variant installation.
-     * @param install_cycles Modeled cost of installing a received
-     *        variant (EVT patch + bookkeeping).
      */
     RemoteBackend(CompileService &svc, sim::Machine &machine,
-                  uint32_t server_id, uint32_t install_core = 0,
-                  uint64_t install_cycles = 100);
+                  uint32_t server_id, uint32_t install_core = 0);
 
     /** Arm the degradation ladder. Call before any compile(). */
     void setRetryPolicy(const RetryPolicy &policy);
@@ -229,7 +221,6 @@ class RemoteBackend : public runtime::CompileBackend
     sim::Machine &machine_;
     uint32_t serverId_;
     uint32_t installCore_;
-    uint64_t installCycles_;
     uint64_t requests_ = 0;
 
     RetryPolicy policy_;

@@ -30,9 +30,6 @@ FleetSim::FleetSim(const FleetConfig &cfg)
 {
     if (cfg_.numServers == 0)
         fatal("FleetSim: numServers must be > 0");
-    if (cfg_.runtimeCore >= cfg_.machine.numCores)
-        fatal("FleetSim: runtimeCore %u out of range (%u cores)",
-              cfg_.runtimeCore, cfg_.machine.numCores);
     if (cfg_.faults.anyEnabled()) {
         plan_ = std::make_unique<faults::FaultPlan>(cfg_.faults);
         svc_.setFaultPlan(plan_.get());
@@ -64,8 +61,7 @@ FleetSim::FleetSim(const FleetConfig &cfg)
         opts.osr = cfg_.osr;
         if (cfg_.remoteBackend) {
             s->backend = std::make_unique<RemoteBackend>(
-                svc_, *s->machine, i, cfg_.runtimeCore,
-                cfg_.installCycles);
+                svc_, *s->machine, i, cfg_.runtimeCore);
             if (cfg_.retry.enabled)
                 s->backend->setRetryPolicy(cfg_.retry);
             opts.compileBackend = s->backend.get();
@@ -81,10 +77,6 @@ FleetSim::FleetSim(const FleetConfig &cfg)
     cluster_.setParallel(cfg_.parallelWorkers);
 
     if (cfg_.telemetry.enabled) {
-        if (cfg_.telemetry.scrapeCore >= cfg_.machine.numCores)
-            fatal("FleetSim: telemetry scrapeCore %u out of range "
-                  "(%u cores)",
-                  cfg_.telemetry.scrapeCore, cfg_.machine.numCores);
         hub_ = std::make_unique<TelemetryHub>(cfg_.telemetry, svc_,
                                               cluster_);
         // Server registration order matches server ids, so per-window

@@ -49,19 +49,17 @@ struct FleetConfig
     /** Mean per-server variant-request interarrival, simulated ms. */
     double meanRequestMs = 4.0;
     /** Catalog depth: NT masks generated per virtualized function. */
-    uint32_t masksPerFunction = 4;
+    static constexpr uint32_t masksPerFunction = 4;
     uint64_t seed = 42;
-    /** Server-side cost of installing a received variant. */
-    uint64_t installCycles = 100;
     /** Worker threads stepping machines per quantum (host-side
      *  parallelism only; 0/1 = serial). Results are byte-identical
      *  across settings — see Cluster::setParallel. */
     uint32_t parallelWorkers = 1;
-    /** Core charged with runtime/compile/install work. Defaults to
-     *  the host's own core, the WSC configuration: no server
-     *  dedicates a core to compilation, so local compiles steal host
-     *  cycles and the service's value shows up as host progress. */
-    uint32_t runtimeCore = 0;
+    /** Core charged with runtime/compile/install work: the host's own
+     *  core, the WSC configuration. No server dedicates a core to
+     *  compilation, so local compiles steal host cycles and the
+     *  service's value shows up as host progress. */
+    static constexpr uint32_t runtimeCore = 0;
     /** Fault injection (all-zero = benign; see faults::FaultConfig).
      *  When any rate is non-zero the sim builds a FaultPlan and
      *  attaches it to the service and the cluster. */

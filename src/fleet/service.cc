@@ -10,6 +10,21 @@
 namespace protean {
 namespace fleet {
 
+namespace {
+
+/** Response-payload bandwidth (variant code shipping). */
+constexpr double kBytesPerCycle = 16.0;
+
+} // namespace
+
+uint64_t
+NetworkModel::transferCycles(uint64_t bytes) const
+{
+    return static_cast<uint64_t>(
+        (static_cast<double>(bytes) + kBytesPerCycle - 1.0) /
+        kBytesPerCycle);
+}
+
 CompileService::CompileService(const ServiceConfig &cfg) : cfg_(cfg)
 {
     if (cfg_.numShards == 0)
@@ -257,7 +272,7 @@ CompileService::advanceShard(uint32_t s, uint64_t cycle)
         uint64_t next_crash = outage ? outage->at : UINT64_MAX;
         uint64_t next_close = sh.queue.empty() ?
             UINT64_MAX :
-            sh.queue.front().arrival + cfg_.batchWindowCycles;
+            sh.queue.front().arrival + kBatchWindowCycles;
         if (next_done <= next_crash && next_done <= next_close &&
             next_done <= cycle) {
             installCompletions(s, sh, next_done);
@@ -647,7 +662,7 @@ CompileService::resolveBatch(uint32_t s, Shard &sh, uint64_t close)
         if (hit != sh.index.end()) {
             // Cache hit: touch LRU, ship the cached variant now.
             sh.lru.splice(sh.lru.begin(), sh.lru, hit->second);
-            uint64_t done = close + cfg_.lookupCycles;
+            uint64_t done = close + kLookupCycles;
             runtime::CompileOutcome out;
             out.startCycle = close;
             out.readyCycle = done + net.responseLatencyCycles +
@@ -670,7 +685,7 @@ CompileService::resolveBatch(uint32_t s, Shard &sh, uint64_t close)
             // requester waits on the completion like any coalesced
             // rider, so a crash mid-compile strands it (explicit
             // failure) rather than pretending the variant shipped.
-            uint64_t start = std::max(close + cfg_.lookupCycles,
+            uint64_t start = std::max(close + kLookupCycles,
                                       sh.backendFree);
             uint64_t done = start + r.job.costCycles;
             sh.backendFree = done;

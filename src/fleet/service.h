@@ -60,19 +60,16 @@ struct NetworkModel
     uint64_t requestLatencyCycles = 400;
     /** One-way service -> client latency. */
     uint64_t responseLatencyCycles = 400;
-    /** Response-payload bandwidth (variant code shipping). */
-    double bytesPerCycle = 16.0;
 
     /** Cycles to push `bytes` through the response link. */
-    uint64_t transferCycles(uint64_t bytes) const
-    {
-        if (bytesPerCycle <= 0.0)
-            return 0;
-        return static_cast<uint64_t>(
-            (static_cast<double>(bytes) + bytesPerCycle - 1.0) /
-            bytesPerCycle);
-    }
+    uint64_t transferCycles(uint64_t bytes) const;
 };
+
+/** Requests arriving within this window of the first queued request
+ *  are processed as one batch at the shard. */
+constexpr uint64_t kBatchWindowCycles = 200;
+/** Per-batch-member shard work (cache probe, bookkeeping). */
+constexpr uint64_t kLookupCycles = 20;
 
 /** Service sizing and cost parameters. */
 struct ServiceConfig
@@ -81,11 +78,6 @@ struct ServiceConfig
     uint32_t numShards = 4;
     /** Cached variants per shard (LRU beyond this). */
     size_t shardCapacity = 64;
-    /** Requests arriving within this window of the first queued
-     *  request are processed as one batch at the shard. */
-    uint64_t batchWindowCycles = 200;
-    /** Per-batch-member shard work (cache probe, bookkeeping). */
-    uint64_t lookupCycles = 20;
     /**
      * Replication factor R: each variant installs on its primary
      * shard plus the next R-1 shards in the ring, so a single-shard

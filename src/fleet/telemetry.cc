@@ -11,6 +11,24 @@
 namespace protean {
 namespace fleet {
 
+namespace {
+
+/** Rollup window width, in cycles (10 simulated ms at the default
+ *  5000 cycles/ms). Windows close at the first cluster barrier at or
+ *  past each boundary. */
+constexpr uint64_t kWindowCycles = 50000;
+static_assert(kWindowCycles > 0);
+/** Additional payload per non-empty histogram bucket shipped. */
+constexpr uint64_t kScrapeBucketBytes = 24;
+/** Core charged with scrape serialization. */
+constexpr uint32_t kScrapeCore = 0;
+/** Additional payload per profile bucket shipped. */
+constexpr uint64_t kScrapeProfileEntryBytes = 48;
+/** Additional payload per flip-ledger record shipped. */
+constexpr uint64_t kScrapeFlipBytes = 32;
+
+} // namespace
+
 std::map<std::string, double>
 FleetWindow::fields() const
 {
@@ -70,8 +88,6 @@ TelemetryHub::TelemetryHub(const TelemetryConfig &cfg,
                            CompileService &svc, Cluster &cluster)
     : cfg_(cfg), svc_(svc), cluster_(cluster)
 {
-    if (cfg_.windowCycles == 0)
-        fatal("TelemetryHub: windowCycles must be positive");
 }
 
 void
@@ -93,7 +109,7 @@ TelemetryHub::onBarrier(uint64_t cycle)
     // Windows close at the first barrier at or past each boundary;
     // the barrier cycle becomes the window's recorded end, so window
     // edges are identical serial vs. parallel (barriers are).
-    while (cycle >= windowStart_ + cfg_.windowCycles)
+    while (cycle >= windowStart_ + kWindowCycles)
         closeWindow(cycle);
 }
 
@@ -110,7 +126,7 @@ TelemetryHub::closeWindow(uint64_t cycle)
     FleetWindow w;
     w.index = windows_.size();
     w.startCycle = windowStart_;
-    w.endCycle = std::min(cycle, windowStart_ + cfg_.windowCycles);
+    w.endCycle = std::min(cycle, windowStart_ + kWindowCycles);
 
     // ----- service deltas -----
     const ServiceStats &s = svc_.stats();
@@ -156,7 +172,7 @@ TelemetryHub::closeWindow(uint64_t cycle)
     // ----- per-server scrape: client deltas + flip histograms -----
     const NetworkModel &net = svc_.config().net;
     for (ServerSlot &slot : servers_) {
-        uint64_t payload = cfg_.scrapeBaseBytes;
+        uint64_t payload = kScrapeBaseBytes;
         if (slot.backend) {
             RemoteBackend &b = *slot.backend;
             const ClientStats &c = b.clientStats();
@@ -179,7 +195,7 @@ TelemetryHub::closeWindow(uint64_t cycle)
 
             obs::HdrHistogram server_flip;
             b.drainFlipWindow(server_flip);
-            payload += cfg_.scrapeBucketBytes *
+            payload += kScrapeBucketBytes *
                 server_flip.nonZeroBuckets().size();
             w.flip.merge(server_flip);
         }
@@ -189,7 +205,7 @@ TelemetryHub::closeWindow(uint64_t cycle)
             // the series the hot-loop scenario's tail lives in.
             obs::HdrHistogram fe_entry, fe_osr;
             slot.rt->drainFlipEffectWindow(fe_entry, fe_osr);
-            payload += cfg_.scrapeBucketBytes *
+            payload += kScrapeBucketBytes *
                 (fe_entry.nonZeroBuckets().size() +
                  fe_osr.nonZeroBuckets().size());
             w.flipEffectEntry.merge(fe_entry);
@@ -200,14 +216,14 @@ TelemetryHub::closeWindow(uint64_t cycle)
             // ledger; both are payload like any other scrape data.
             obs::Profile server_profile;
             slot.profiler->drainProfile(server_profile);
-            payload += cfg_.scrapeProfileEntryBytes *
+            payload += kScrapeProfileEntryBytes *
                 server_profile.entries().size();
             w.profileSamples += server_profile.totalSamples();
             profile_.merge(server_profile);
 
             std::vector<runtime::FlipRecord> records =
                 slot.profiler->drainLedger();
-            payload += cfg_.scrapeFlipBytes * records.size();
+            payload += kScrapeFlipBytes * records.size();
             w.flipRecords += records.size();
             for (const runtime::FlipRecord &r : records)
                 scoreboard_.recordFlip(r);
@@ -217,10 +233,10 @@ TelemetryHub::closeWindow(uint64_t cycle)
         w.scrapeBytes += payload;
         w.scrapeNetworkCycles += net.requestLatencyCycles +
             net.transferCycles(payload);
-        if (slot.machine && cfg_.scrapeCpuCycles > 0) {
-            slot.machine->core(cfg_.scrapeCore)
-                .stealCycles(cfg_.scrapeCpuCycles);
-            w.scrapeCpuCycles += cfg_.scrapeCpuCycles;
+        if (slot.machine) {
+            slot.machine->core(kScrapeCore)
+                .stealCycles(kScrapeCpuCycles);
+            w.scrapeCpuCycles += kScrapeCpuCycles;
         }
     }
     scrapeBytes_ += w.scrapeBytes;
@@ -249,7 +265,7 @@ TelemetryHub::closeWindow(uint64_t cycle)
     }
 
     slo_.observeWindow(w.index, w.fields());
-    windowStart_ += cfg_.windowCycles;
+    windowStart_ += kWindowCycles;
     if (windowStart_ > w.endCycle)
         windowStart_ = w.endCycle; // flush() of a partial window
     windows_.push_back(std::move(w));
@@ -296,13 +312,13 @@ TelemetryHub::toJson() const
         "\"scrape_profile_entry_bytes\": %llu, "
         "\"servers\": %zu, \"window_cycles\": %llu},\n",
         cfg_.profiling ? "true" : "false",
-        static_cast<unsigned long long>(cfg_.scrapeBaseBytes),
-        static_cast<unsigned long long>(cfg_.scrapeBucketBytes),
-        static_cast<unsigned long long>(cfg_.scrapeCpuCycles),
-        static_cast<unsigned long long>(cfg_.scrapeFlipBytes),
-        static_cast<unsigned long long>(cfg_.scrapeProfileEntryBytes),
+        static_cast<unsigned long long>(kScrapeBaseBytes),
+        static_cast<unsigned long long>(kScrapeBucketBytes),
+        static_cast<unsigned long long>(kScrapeCpuCycles),
+        static_cast<unsigned long long>(kScrapeFlipBytes),
+        static_cast<unsigned long long>(kScrapeProfileEntryBytes),
         servers_.size(),
-        static_cast<unsigned long long>(cfg_.windowCycles));
+        static_cast<unsigned long long>(kWindowCycles));
     out += strformat("\"fleet_flip\": %s,\n",
                      hdrJson(fleetFlip()).c_str());
     out += strformat("\"fleet_flip_effect_entry\": %s,\n",

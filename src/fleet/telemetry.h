@@ -52,33 +52,23 @@ namespace fleet {
 
 class Cluster;
 
-/** Telemetry plane sizing and scrape cost model. */
+/** Fixed per-server delta payload (headers + counters), bytes. */
+constexpr uint64_t kScrapeBaseBytes = 256;
+/** CPU cycles each server spends serializing its delta, stolen from
+ *  its runtime core at the window close. */
+constexpr uint64_t kScrapeCpuCycles = 150;
+
+/** Telemetry plane switches; the scrape cost model is fixed
+ *  (telemetry.cc). */
 struct TelemetryConfig
 {
     /** Master switch; off = the hub is never built and the hot path
      *  pays nothing. */
     bool enabled = false;
-    /** Rollup window width, in cycles (10 simulated ms at the
-     *  default 5000 cycles/ms). Windows close at the first cluster
-     *  barrier at or past each boundary. */
-    uint64_t windowCycles = 50000;
-    /** Fixed per-server delta payload (headers + counters), bytes. */
-    uint64_t scrapeBaseBytes = 256;
-    /** Additional payload per non-empty histogram bucket shipped. */
-    uint64_t scrapeBucketBytes = 24;
-    /** CPU cycles each server spends serializing its delta, stolen
-     *  from its runtime core at the window close. */
-    uint64_t scrapeCpuCycles = 150;
-    /** Core charged with scrape serialization. */
-    uint32_t scrapeCore = 0;
     /** Scrape continuous profiles and flip ledgers too (requires
      *  per-server VariantProfilers; FleetSim enables them when this
      *  is set). */
     bool profiling = false;
-    /** Additional payload per profile bucket shipped. */
-    uint64_t scrapeProfileEntryBytes = 48;
-    /** Additional payload per flip-ledger record shipped. */
-    uint64_t scrapeFlipBytes = 32;
 };
 
 /** One closed rollup window of fleet-wide deltas. */

@@ -9,6 +9,30 @@
 namespace protean {
 namespace pc3d {
 
+namespace {
+
+/** Evaluation-window length during search. */
+constexpr double kWindowMs = 60.0;
+/** Settled-mode check interval. */
+constexpr double kSettledWindowMs = 200.0;
+/** Warmup before the first search. */
+constexpr double kWarmupMs = 250.0;
+constexpr double kNapEpsilon = 0.04;
+constexpr double kNapCap = 0.98;
+/** Hotness mass that defines "covered" functions. */
+constexpr double kHotFraction = 0.98;
+/** Hard cap on the search-space size (keeps search time
+ *  proportionate; the hottest loads survive). */
+constexpr size_t kMaxSearchLoads = 24;
+/** QoS hysteresis below target before reacting while settled. */
+constexpr double kQosSlack = 0.015;
+/** Nap adjustment step while settled. */
+constexpr double kNapStep = 0.05;
+/** Modeled analysis cost per window, in cycles. */
+constexpr uint64_t kWindowAnalysisCycles = 120;
+
+} // namespace
+
 Pc3dEngine::Pc3dEngine(runtime::QosMonitor &qos, const Pc3dOptions &opts)
     : qos_(qos), opts_(opts), dispatchedMask_(0)
 {
@@ -22,7 +46,7 @@ Pc3dEngine::onStart(runtime::ProteanRuntime &rt)
     for (size_t i = 0; i < qos_.coCores().size(); ++i)
         coPhase_.emplace_back(0.5);
     windowEnd_ = rt.machine().now() +
-        rt.machine().msToCycles(opts_.warmupMs);
+        rt.machine().msToCycles(kWarmupMs);
 }
 
 BitVector
@@ -39,7 +63,7 @@ Pc3dEngine::spaceToModuleMask(const BitVector &space_mask) const
 void
 Pc3dEngine::setNap(runtime::ProteanRuntime &rt, double nap)
 {
-    nap_ = std::clamp(nap, 0.0, opts_.napCap);
+    nap_ = std::clamp(nap, 0.0, kNapCap);
     rt.napGovernor().setControllerNap(nap_);
 }
 
@@ -88,10 +112,10 @@ void
 Pc3dEngine::startSearch(runtime::ProteanRuntime &rt)
 {
     // Heuristic search-space construction from current hotness.
-    auto hot = rt.sampler().hotFunctions(opts_.hotFraction);
+    auto hot = rt.sampler().hotFunctions(kHotFraction);
     space_ = buildSearchSpace(rt.module(), hot);
-    if (space_.loads.size() > opts_.maxSearchLoads)
-        space_.loads.resize(opts_.maxSearchLoads);
+    if (space_.loads.size() > kMaxSearchLoads)
+        space_.loads.resize(kMaxSearchLoads);
 
     // Charge the analysis (coverage pruning + loop analysis).
     rt.chargeWork(300 * hot.size() + 4 * space_.activeRegionLoads);
@@ -107,8 +131,8 @@ Pc3dEngine::startSearch(runtime::ProteanRuntime &rt)
 
     SearchConfig scfg;
     scfg.qosTarget = opts_.qosTarget;
-    scfg.napEpsilon = opts_.napEpsilon;
-    scfg.napCap = opts_.napCap;
+    scfg.napEpsilon = kNapEpsilon;
+    scfg.napCap = kNapCap;
     scfg.reuseNapBounds = opts_.reuseNapBounds;
     search_ = std::make_unique<VariantSearch>(scfg,
                                               space_.loads.size());
@@ -130,7 +154,7 @@ Pc3dEngine::applyRequest(runtime::ProteanRuntime &rt)
     qos_.minQosWindow();
     qos_.clearTaint();
     windowEnd_ = rt.machine().now() +
-        rt.machine().msToCycles(opts_.windowMs);
+        rt.machine().msToCycles(kWindowMs);
 }
 
 void
@@ -138,7 +162,7 @@ Pc3dEngine::onTick(runtime::ProteanRuntime &rt)
 {
     if (rt.machine().now() < windowEnd_)
         return;
-    rt.chargeWork(opts_.windowAnalysisCycles);
+    rt.chargeWork(kWindowAnalysisCycles);
     rt.sampler().decay(0.96);
 
     switch (mode_) {
@@ -157,7 +181,7 @@ Pc3dEngine::onTick(runtime::ProteanRuntime &rt)
 void
 Pc3dEngine::windowSearch(runtime::ProteanRuntime &rt)
 {
-    uint64_t window = rt.machine().msToCycles(opts_.windowMs);
+    uint64_t window = rt.machine().msToCycles(kWindowMs);
 
     if (pendingDispatch_ > 0) {
         // Compiles still in flight; give them another window.
@@ -209,7 +233,7 @@ Pc3dEngine::windowSearch(runtime::ProteanRuntime &rt)
         qos_.minQosWindow();
         qos_.clearTaint();
         windowEnd_ = rt.machine().now() +
-            rt.machine().msToCycles(opts_.settledWindowMs);
+            rt.machine().msToCycles(kSettledWindowMs);
         return;
     }
     applyRequest(rt);
@@ -218,7 +242,7 @@ Pc3dEngine::windowSearch(runtime::ProteanRuntime &rt)
 void
 Pc3dEngine::windowSettled(runtime::ProteanRuntime &rt)
 {
-    uint64_t window = rt.machine().msToCycles(opts_.settledWindowMs);
+    uint64_t window = rt.machine().msToCycles(kSettledWindowMs);
     windowEnd_ = rt.machine().now() + window;
 
     if (pendingDispatch_ > 0 || discardNextWindow_) {
@@ -243,7 +267,7 @@ Pc3dEngine::windowSettled(runtime::ProteanRuntime &rt)
     // Phase analysis: host progress + hot set, co-runner progress.
     bool host_changed =
         hostPhase_.update(host.ipc(),
-                          rt.sampler().hotFunctions(opts_.hotFraction));
+                          rt.sampler().hotFunctions(kHotFraction));
     bool co_changed = false;
     for (size_t i = 0; i < qos_.coCores().size(); ++i) {
         sim::HpmCounters co = rt.hpm().window(qos_.coCores()[i]);
@@ -276,8 +300,8 @@ Pc3dEngine::windowSettled(runtime::ProteanRuntime &rt)
 
     // Drift control: nap absorbs small QoS shifts; a large excursion
     // beyond the searched level triggers a fresh search.
-    if (min_qos < opts_.qosTarget - opts_.qosSlack) {
-        setNap(rt, nap_ + opts_.napStep);
+    if (min_qos < opts_.qosTarget - kQosSlack) {
+        setNap(rt, nap_ + kNapStep);
         if (nap_ > settledBestNap_ + 0.25) {
             obs::metrics().counter("pc3d.research.qos_excursion")
                 .inc();
@@ -290,9 +314,9 @@ Pc3dEngine::windowSettled(runtime::ProteanRuntime &rt)
             }
             startSearch(rt);
         }
-    } else if (min_qos > opts_.qosTarget + 2 * opts_.qosSlack &&
+    } else if (min_qos > opts_.qosTarget + 2 * kQosSlack &&
                nap_ > settledBestNap_) {
-        setNap(rt, std::max(settledBestNap_, nap_ - opts_.napStep / 2));
+        setNap(rt, std::max(settledBestNap_, nap_ - kNapStep / 2));
     }
 }
 

@@ -33,31 +33,13 @@
 namespace protean {
 namespace pc3d {
 
-/** Engine tuning. */
+/** Engine tuning; the rest of the engine's calibration is fixed
+ *  (pc3d.cc). */
 struct Pc3dOptions
 {
     double qosTarget = 0.95;
-    /** Evaluation-window length during search. */
-    double windowMs = 60.0;
-    /** Settled-mode check interval. */
-    double settledWindowMs = 200.0;
-    /** Warmup before the first search. */
-    double warmupMs = 250.0;
-    double napEpsilon = 0.04;
-    double napCap = 0.98;
-    /** Hotness mass that defines "covered" functions. */
-    double hotFraction = 0.98;
-    /** Hard cap on the search-space size (keeps search time
-     *  proportionate; the hottest loads survive). */
-    size_t maxSearchLoads = 24;
     /** Reuse nap bounds across variants (ablation knob). */
     bool reuseNapBounds = true;
-    /** QoS hysteresis below target before reacting while settled. */
-    double qosSlack = 0.015;
-    /** Nap adjustment step while settled. */
-    double napStep = 0.05;
-    /** Modeled analysis cost per window, in cycles. */
-    uint64_t windowAnalysisCycles = 120;
 };
 
 /** The PC3D decision engine. */

@@ -9,12 +9,30 @@
 namespace protean {
 namespace reqos {
 
+namespace {
+
+/** Control interval. */
+constexpr double kWindowMs = 150.0;
+/** EWMA weight for smoothing the per-window QoS estimate before
+ *  acting on it (request quantization makes single windows noisy,
+ *  especially at low load). */
+constexpr double kQosAlpha = 0.3;
+/** Proportional gain on QoS deficit. */
+constexpr double kGain = 1.4;
+/** Nap released per interval when QoS is comfortably met. */
+constexpr double kRelease = 0.02;
+constexpr double kNapCap = 0.98;
+/** Hysteresis around the target. */
+constexpr double kSlack = 0.01;
+
+} // namespace
+
 ReQosController::ReQosController(sim::Machine &machine,
                                  runtime::NapGovernor &governor,
                                  runtime::QosMonitor &qos,
                                  const ReQosOptions &opts)
     : machine_(machine), governor_(governor), qos_(qos), opts_(opts),
-      hpm_(machine), qosSmooth_(opts.qosAlpha),
+      hpm_(machine), qosSmooth_(kQosAlpha),
       alive_(std::make_shared<bool>(true))
 {
     for (size_t i = 0; i < qos.coCores().size(); ++i)
@@ -34,7 +52,7 @@ ReQosController::start()
     started_ = true;
     qos_.start();
     qos_.clearTaint();
-    machine_.scheduleAfter(machine_.msToCycles(opts_.windowMs),
+    machine_.scheduleAfter(machine_.msToCycles(kWindowMs),
                            [this, alive = alive_] {
                                if (*alive)
                                    window();
@@ -71,16 +89,16 @@ ReQosController::window()
         // Fast attack on the raw signal (a QoS violation must be
         // arrested immediately), slow release on the smoothed one
         // (request quantization makes single windows noisy).
-        if (raw < opts_.qosTarget - opts_.slack) {
-            nap_ += opts_.gain * (opts_.qosTarget - raw);
-        } else if (smooth > opts_.qosTarget + opts_.slack) {
-            nap_ -= std::min(opts_.release +
+        if (raw < opts_.qosTarget - kSlack) {
+            nap_ += kGain * (opts_.qosTarget - raw);
+        } else if (smooth > opts_.qosTarget + kSlack) {
+            nap_ -= std::min(kRelease +
                              0.3 * (smooth - opts_.qosTarget), 0.08);
         }
-        nap_ = std::clamp(nap_, 0.0, opts_.napCap);
+        nap_ = std::clamp(nap_, 0.0, kNapCap);
         governor_.setControllerNap(nap_);
     }
-    machine_.scheduleAfter(machine_.msToCycles(opts_.windowMs),
+    machine_.scheduleAfter(machine_.msToCycles(kWindowMs),
                            [this, alive = alive_] {
                                if (*alive)
                                    window();

@@ -25,23 +25,11 @@
 namespace protean {
 namespace reqos {
 
-/** Controller tuning. */
+/** Controller tuning; the control law's gains are fixed
+ *  (reqos.cc). */
 struct ReQosOptions
 {
     double qosTarget = 0.95;
-    /** Control interval. */
-    double windowMs = 150.0;
-    /** EWMA weight for smoothing the per-window QoS estimate before
-     *  acting on it (request quantization makes single windows
-     *  noisy, especially at low load). */
-    double qosAlpha = 0.3;
-    /** Proportional gain on QoS deficit. */
-    double gain = 1.4;
-    /** Nap released per interval when QoS is comfortably met. */
-    double release = 0.02;
-    double napCap = 0.98;
-    /** Hysteresis around the target. */
-    double slack = 0.01;
 };
 
 /** Nap-only QoS feedback controller. */

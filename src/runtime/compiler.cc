@@ -2,12 +2,20 @@
 
 #include <algorithm>
 
+#include "codegen/cost.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "support/logging.h"
 
 namespace protean {
 namespace runtime {
+
+namespace {
+
+/** Dynamic-compile cost model. */
+constexpr codegen::CompileCostModel kCostModel;
+
+} // namespace
 
 void
 LocalCompileBackend::compile(const CompileJob &job,
@@ -240,7 +248,7 @@ RuntimeCompiler::requestVariant(ir::FuncId func, const BitVector &mask,
     CompileJob job;
     job.contentKey = contentKey(func, key);
     job.func = func;
-    job.costCycles = cost_.cost(fn);
+    job.costCycles = kCostModel.cost(fn);
     job.codeBytes = fn.instructionCount() * sizeof(isa::MInst);
     job.name = fn.name();
     job.ntMask = mask;

@@ -27,7 +27,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "codegen/cost.h"
 #include "codegen/lowering.h"
 #include "runtime/attach.h"
 #include "sim/machine.h"
@@ -200,9 +199,6 @@ class RuntimeCompiler
     /** Change which core absorbs compile work (local backend only). */
     void setRuntimeCore(uint32_t core);
 
-    /** Override the compile cost model. */
-    void setCostModel(const codegen::CompileCostModel &m) { cost_ = m; }
-
     /**
      * Request a variant of func under a module-wide NT mask.
      * If an identical variant is cached locally, on_ready fires
@@ -270,7 +266,6 @@ class RuntimeCompiler
     const ir::Module &module_;
     const codegen::VirtualizationMap &slots_;
     uint32_t runtimeCore_;
-    codegen::CompileCostModel cost_;
     std::unique_ptr<LocalCompileBackend> ownedBackend_;
     CompileBackend *backend_;
 

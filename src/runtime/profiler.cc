@@ -7,13 +7,24 @@
 namespace protean {
 namespace runtime {
 
+namespace {
+
+/** Monitoring ticks a flip experiment spans before its after-IPC is
+ *  read. */
+constexpr uint32_t kExperimentTicks = 2;
+static_assert(kExperimentTicks > 0);
+/** PhaseDetector sensitivity (see monitor.h). */
+constexpr double kPhaseRateThreshold = 0.3;
+constexpr double kPhaseAlpha = 0.25;
+constexpr uint32_t kPhaseCooldown = 6;
+
+} // namespace
+
 VariantProfiler::VariantProfiler(sim::Machine &machine,
                                  uint32_t host_core,
-                                 const BinaryIr &ir,
-                                 const ProfilerOptions &opts)
-    : machine_(machine), hostCore_(host_core), ir_(ir), opts_(opts),
-      detector_(opts.phaseRateThreshold, opts.phaseAlpha,
-                opts.phaseCooldown)
+                                 const BinaryIr &ir)
+    : machine_(machine), hostCore_(host_core), ir_(ir),
+      detector_(kPhaseRateThreshold, kPhaseAlpha, kPhaseCooldown)
 {
     lastTick_ = hostHpm();
     lastSample_ = lastTick_;
@@ -117,9 +128,7 @@ VariantProfiler::onFlipDispatched(ir::FuncId func,
     e.record.phase = phase_;
     e.record.ipcBefore = lastWindowIpc_;
     e.record.cycle = machine_.now();
-    e.ticksLeft = opts_.experimentTicks == 0 ?
-        1 :
-        opts_.experimentTicks;
+    e.ticksLeft = kExperimentTicks;
     e.start = hostHpm();
     experiments_.push_back(std::move(e));
 }

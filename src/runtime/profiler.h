@@ -57,25 +57,12 @@ struct FlipRecord
     uint64_t cycle = 0;
 };
 
-/** Profiler knobs. */
-struct ProfilerOptions
-{
-    /** Monitoring ticks a flip experiment spans before its after-IPC
-     *  is read. */
-    uint32_t experimentTicks = 2;
-    /** PhaseDetector sensitivity (see monitor.h). */
-    double phaseRateThreshold = 0.3;
-    double phaseAlpha = 0.25;
-    uint32_t phaseCooldown = 6;
-};
-
 /** Per-server sampling profile + flip ledger (see file comment). */
 class VariantProfiler
 {
   public:
     VariantProfiler(sim::Machine &machine, uint32_t host_core,
-                    const BinaryIr &ir,
-                    const ProfilerOptions &opts = ProfilerOptions{});
+                    const BinaryIr &ir);
 
     /**
      * Fold one attributed PC sample into the profile. Called by the
@@ -130,7 +117,6 @@ class VariantProfiler
     sim::Machine &machine_;
     uint32_t hostCore_;
     const BinaryIr &ir_;
-    ProfilerOptions opts_;
     obs::Profile profile_;
     std::vector<FlipRecord> ledger_;
     std::vector<Experiment> experiments_;

@@ -9,6 +9,17 @@
 namespace protean {
 namespace runtime {
 
+namespace {
+
+/** EWMA weight for the solo-IPS reference. */
+constexpr double kSoloAlpha = 0.5;
+/** The first few probes run at a faster cadence and are averaged
+ *  arithmetically, priming the solo reference quickly before the
+ *  steady 1%-overhead cadence takes over. */
+constexpr uint32_t kPrimingProbes = 3;
+
+} // namespace
+
 NapGovernor::NapGovernor(sim::Machine &machine, uint32_t core)
     : machine_(machine), core_(core)
 {
@@ -47,7 +58,7 @@ QosMonitor::QosMonitor(sim::Machine &machine, NapGovernor &governor,
       coCores_(std::move(co_cores)), opts_(opts)
 {
     for (size_t i = 0; i < coCores_.size(); ++i) {
-        solo_.emplace_back(SoloEstimator(opts_.soloAlpha));
+        solo_.emplace_back(SoloEstimator(kSoloAlpha));
         winStart_.push_back(machine_.core(coCores_[i]).hpm());
         winStartCycle_.push_back(machine_.now());
     }
@@ -69,7 +80,7 @@ QosMonitor::start()
     if (started_)
         return;
     started_ = true;
-    primingLeft_ = opts_.primingProbes;
+    primingLeft_ = kPrimingProbes;
     machine_.scheduleAfter(machine_.msToCycles(opts_.initialDelayMs),
                            [this] { beginProbe(); });
 }
@@ -81,7 +92,7 @@ QosMonitor::reprime()
     obs::tracer().instant("runtime.qos", "reprime");
     for (auto &est : solo_)
         est.invalidate();
-    primingLeft_ = opts_.primingProbes;
+    primingLeft_ = kPrimingProbes;
     // The regular cadence keeps running; the next probes simply feed
     // the fresh estimators. Pull the next probe forward if one is
     // not already imminent.
@@ -131,7 +142,7 @@ QosMonitor::endProbe(std::vector<sim::HpmCounters> snaps,
             double ips = static_cast<double>(delta.instructions) /
                 static_cast<double>(elapsed);
             if (ips > 0.0)
-                solo_[i].add(ips, opts_.primingProbes);
+                solo_[i].add(ips, kPrimingProbes);
         }
     }
     governor_.setProbeActive(false);

@@ -54,15 +54,10 @@ struct QosOptions
      *  flux overhead around 1%). */
     double probePeriodMs = 4000.0;
     double probeLenMs = 40.0;
-    /** EWMA weight for the solo-IPS reference. */
-    double soloAlpha = 0.5;
     /** Delay before the first probe, so the co-runners have reached
      *  representative behavior. */
     double initialDelayMs = 200.0;
-    /** The first few probes run at a faster cadence and are averaged
-     *  arithmetically, priming the solo reference quickly before the
-     *  steady 1%-overhead cadence takes over. */
-    uint32_t primingProbes = 3;
+    /** Cadence of the first, priming probes (qos.cc). */
     double primingPeriodMs = 400.0;
 };
 

@@ -7,6 +7,17 @@
 namespace protean {
 namespace runtime {
 
+namespace {
+
+/** Modeled analysis cost per tick, in cycles. */
+constexpr uint64_t kTickCostCycles = 60;
+/** Cycles charged per OSR redirect (table walk/bookkeeping). */
+constexpr uint64_t kOsrBaseCycles = 40;
+/** Cycles charged per back-edge branch actually patched. */
+constexpr uint64_t kOsrPatchCycles = 4;
+
+} // namespace
+
 ProteanRuntime::ProteanRuntime(sim::Machine &machine,
                                sim::Process &host,
                                const RuntimeOptions &opts)
@@ -21,7 +32,6 @@ ProteanRuntime::ProteanRuntime(sim::Machine &machine,
     compiler_ = std::make_unique<RuntimeCompiler>(
         machine_, host_, *att_.ir, evt_->slots(),
         opts_.runtimeCore, opts_.compileBackend);
-    compiler_->setCostModel(opts_.costModel);
     sampler_ = std::make_unique<PcSampler>(machine_, host_,
                                            host_.coreId());
     hpm_ = std::make_unique<HpmMonitor>(machine_);
@@ -84,7 +94,7 @@ ProteanRuntime::tick()
     sampler_->sample();
     if (profiler_)
         profiler_->onTick();
-    chargeWork(opts_.tickCostCycles);
+    chargeWork(kTickCostCycles);
     if (engine_)
         engine_->onTick(*this);
     machine_.scheduleAfter(machine_.msToCycles(opts_.tickMs),
@@ -157,8 +167,8 @@ ProteanRuntime::deployVariant(ir::FuncId func, const BitVector &mask,
                         obs::metrics()
                             .counter("runtime.osr.patches")
                             .inc(patches);
-                        chargeWork(opts_.osrBaseCycles +
-                                   opts_.osrPatchCycles * patches);
+                        chargeWork(kOsrBaseCycles +
+                                   kOsrPatchCycles * patches);
                     }
                 }
             } else {
@@ -172,12 +182,12 @@ ProteanRuntime::deployVariant(ir::FuncId func, const BitVector &mask,
 }
 
 void
-ProteanRuntime::enableProfiling(const ProfilerOptions &opts)
+ProteanRuntime::enableProfiling()
 {
     if (profiler_)
         return;
     profiler_ = std::make_unique<VariantProfiler>(
-        machine_, host_.coreId(), *att_.ir, opts);
+        machine_, host_.coreId(), *att_.ir);
     sampler_->setProfiler(profiler_.get());
     obs::metrics().counter("runtime.profiler.enabled").inc();
 }

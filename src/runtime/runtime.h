@@ -49,10 +49,6 @@ struct RuntimeOptions
     uint32_t runtimeCore = 0;
     /** Monitoring tick period. */
     double tickMs = 5.0;
-    /** Modeled analysis cost per tick, in cycles. */
-    uint64_t tickCostCycles = 60;
-    /** Dynamic-compile cost model. */
-    codegen::CompileCostModel costModel;
     /**
      * Compile backend (non-owning; must outlive the runtime).
      * nullptr = a local backend on runtimeCore (the single-server
@@ -69,10 +65,6 @@ struct RuntimeOptions
      * Off by default: entry-flip-only, the pre-OSR behavior.
      */
     bool osr = false;
-    /** Cycles charged per OSR redirect (table walk/bookkeeping). */
-    uint64_t osrBaseCycles = 40;
-    /** Cycles charged per back-edge branch actually patched. */
-    uint64_t osrPatchCycles = 4;
 };
 
 /**
@@ -144,8 +136,7 @@ class ProteanRuntime
      * strictly opt-in: without this call the only added cost on the
      * monitoring path is one null check per sample.
      */
-    void enableProfiling(const ProfilerOptions &opts
-                         = ProfilerOptions{});
+    void enableProfiling();
 
     /** The attached profiler, or nullptr when profiling is off. */
     VariantProfiler *profiler() { return profiler_.get(); }

@@ -93,20 +93,11 @@ struct MachineConfig
     }
 };
 
-/** Per-transfer costs of the binary-translation execution mode.
- *  Calibrated so the SPEC-wide mean overhead lands near the ~18%
- *  the paper measures for DynamoRIO: the per-transfer costs fold in
- *  trace exits, link stubs and the code cache's instruction-fetch
- *  footprint, which this simulator does not model directly. */
+/** Binary-translation execution mode. Its per-transfer costs are
+ *  fixed (core.cc). */
 struct BtConfig
 {
     bool enabled = false;
-    /** One-time translation cost per basic-block head. */
-    uint32_t translateCycles = 600;
-    /** Hash-lookup cost per indirect transfer (ret, calli). */
-    uint32_t indirectCycles = 200;
-    /** Residual cost per taken direct transfer (linked blocks). */
-    uint32_t takenExtraCycles = 35;
 };
 
 } // namespace sim

@@ -8,6 +8,25 @@
 namespace protean {
 namespace validate {
 
+namespace {
+
+/** Seeded differential inputs per tier-2 check. */
+constexpr uint32_t kDiffInputs = 3;
+static_assert(kDiffInputs > 0);
+/** Non-hint instruction budget per sandboxed run. */
+constexpr uint64_t kDiffStepLimit = 50000;
+/** Seed for the differential input generator. */
+constexpr uint64_t kSeed = 0x7a11da7e;
+// ----- modeled cycle costs, charged like compile cycles -----
+/** Fixed verdict overhead (dispatch, bookkeeping). */
+constexpr uint64_t kBaseCycles = 50;
+/** Tier-1 cost per instruction walked. */
+constexpr uint64_t kIrCheckCyclesPerInst = 2;
+/** Tier-2 cost per sandboxed non-hint instruction executed. */
+constexpr uint64_t kDiffCyclesPerStep = 4;
+
+} // namespace
+
 using isa::MInst;
 using isa::MOp;
 
@@ -103,8 +122,6 @@ Validator::Validator(const ir::Module &module,
                      const ValidateConfig &cfg)
     : module_(module), image_(image), slots_(slots), cfg_(cfg)
 {
-    if (cfg_.diffInputs == 0)
-        fatal("Validator: diffInputs must be positive");
 }
 
 codegen::LoweredFunction
@@ -272,7 +289,7 @@ Validator::diffArgs(ir::FuncId func, uint32_t index) const
     // verdicts never depend on who asks or when.
     std::array<uint64_t, 4> args;
     for (uint32_t a = 0; a < args.size(); ++a) {
-        args[a] = mix64(cfg_.seed ^ mix64(func * 8 + a) ^
+        args[a] = mix64(kSeed ^ mix64(func * 8 + a) ^
                         mix64(index)) &
             0xff;
     }
@@ -299,12 +316,12 @@ Validator::differentialCheck(ir::FuncId func, const BitVector &mask,
 
     Sandbox ref_box(image_);
     Sandbox cand_box(image_);
-    for (uint32_t k = 0; k < cfg_.diffInputs; ++k) {
+    for (uint32_t k = 0; k < kDiffInputs; ++k) {
         std::array<uint64_t, 4> args = diffArgs(func, k);
         SandboxResult a = ref_box.run(ref_prog, ref_entry, args,
-                                      cfg_.diffStepLimit);
+                                      kDiffStepLimit);
         SandboxResult b = cand_box.run(cand_prog, cand_entry, args,
-                                       cfg_.diffStepLimit);
+                                       kDiffStepLimit);
         if (steps)
             *steps += a.steps + b.steps;
         if (!a.equivalentTo(b)) {
@@ -354,10 +371,10 @@ Validator::osrCheck(ir::FuncId func, const BitVector &mask,
 
     Sandbox box(image_);
     static const uint64_t kFlipAfter[] = {0, 1, 3};
-    for (uint32_t k = 0; k < cfg_.diffInputs; ++k) {
+    for (uint32_t k = 0; k < kDiffInputs; ++k) {
         std::array<uint64_t, 4> args = diffArgs(func, k);
         SandboxResult ref = box.run(prog, orig_entry, args,
-                                    cfg_.diffStepLimit);
+                                    kDiffStepLimit);
         if (steps)
             *steps += ref.steps;
         for (size_t si = 0; si < orig.osrSites.size(); ++si) {
@@ -375,7 +392,7 @@ Validator::osrCheck(ir::FuncId func, const BitVector &mask,
                 flip.afterExecutions = after;
                 SandboxResult got =
                     box.run(prog, orig_entry, args,
-                            cfg_.diffStepLimit, &flip);
+                            kDiffStepLimit, &flip);
                 if (steps)
                     *steps += got.steps;
                 if (!got.equivalentTo(ref)) {
@@ -422,7 +439,7 @@ Validator::validate(const runtime::CompileJob &job,
     uint64_t walked = 0;
     Tier1 t1 = structuralCheck(job.func, mask, candidate, &reason,
                                &walked);
-    v.cycles = cfg_.baseCycles + cfg_.irCheckCyclesPerInst * walked;
+    v.cycles = kBaseCycles + kIrCheckCyclesPerInst * walked;
 
     if (t1 == Tier1::Refuted) {
         // Conclusive in every mode: the restricted transform had no
@@ -459,7 +476,7 @@ Validator::validate(const runtime::CompileJob &job,
     std::string diff_reason;
     bool ok = differentialCheck(job.func, mask, candidate, &steps,
                                 &diff_reason);
-    v.cycles += cfg_.diffCyclesPerStep * steps;
+    v.cycles += kDiffCyclesPerStep * steps;
     v.escalated = true;
     v.tier = 2;
     v.pass = ok;

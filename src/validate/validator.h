@@ -74,26 +74,14 @@ Mode parseMode(const std::string &s);
 
 const char *modeName(Mode m);
 
-/** Gate configuration and cycle cost model. */
+/** Gate configuration; the differential inputs and the cycle cost
+ *  model are fixed (validator.cc). */
 struct ValidateConfig
 {
     Mode mode = Mode::Ir;
-    /** Seeded differential inputs per tier-2 check. */
-    uint32_t diffInputs = 3;
-    /** Non-hint instruction budget per sandboxed run. */
-    uint64_t diffStepLimit = 50000;
-    /** Seed for the differential input generator. */
-    uint64_t seed = 0x7a11da7e;
     /** Tier-1 walk budget in instructions (both streams summed);
      *  beyond it tier 1 is inconclusive and escalates. */
     uint64_t irCheckMaxInsts = 1u << 20;
-    // ----- modeled cycle costs, charged like compile cycles -----
-    /** Fixed verdict overhead (dispatch, bookkeeping). */
-    uint64_t baseCycles = 50;
-    /** Tier-1 cost per instruction walked. */
-    uint64_t irCheckCyclesPerInst = 2;
-    /** Tier-2 cost per sandboxed non-hint instruction executed. */
-    uint64_t diffCyclesPerStep = 4;
 };
 
 /** Tier-1 structural outcomes. */

@@ -11,6 +11,13 @@ namespace workloads {
 
 namespace {
 
+/** Fraction of the working set each request walks. The walk cursor
+ *  persists across requests, so a given line is re-referenced only
+ *  every 1/kWalkFraction requests — the request-local locality of a
+ *  real service, which determines how fast a polluter can evict the
+ *  service's footprint. */
+constexpr double kWalkFraction = 0.5;
+
 using ir::BlockId;
 using ir::IRBuilder;
 using ir::Opcode;
@@ -23,7 +30,7 @@ buildProcess(IRBuilder &b, const ServiceSpec &spec, ir::GlobalId ws,
 {
     uint64_t mask = spec.wsBytes - 1;
     uint64_t lines = spec.wsBytes / 64;
-    double frac = spec.stream ? 1.0 : spec.walkFraction;
+    double frac = spec.stream ? 1.0 : kWalkFraction;
     uint32_t iters_per_rep = static_cast<uint32_t>(std::max<uint64_t>(
         1, static_cast<uint64_t>(static_cast<double>(lines) * frac) /
             spec.loadsPerIter));
@@ -47,7 +54,7 @@ buildProcess(IRBuilder &b, const ServiceSpec &spec, ir::GlobalId ws,
     Reg sum = b.constInt(0);
     Reg rep = b.constInt(0);
 
-    // The walk cursor persists across requests (see walkFraction).
+    // The walk cursor persists across requests (see kWalkFraction).
     Reg cur = b.load(curBase);
     Reg segment = b.mov(cur);
     Reg j = b.func().newReg();

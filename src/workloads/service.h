@@ -35,12 +35,6 @@ struct ServiceSpec
     uint32_t loadsPerIter = 4;
     /** Passes over the walked segment per request (reuse factor). */
     uint32_t repsPerRequest = 3;
-    /** Fraction of the working set each request walks. The walk
-     *  cursor persists across requests, so a given line is
-     *  re-referenced only every 1/walkFraction requests — the
-     *  request-local locality of a real service, which determines
-     *  how fast a polluter can evict the service's footprint. */
-    double walkFraction = 0.5;
     /** ALU operations per load. */
     uint32_t aluPerLoad = 2;
     /** Iterations of the compute-only idle spin per poll. */

@@ -1,10 +1,14 @@
 /**
  * @file
- * Tests for the scale-out analysis (Figures 17-18 models).
+ * Tests for the scale-out analysis (Figures 17-18 models), its
+ * fleet-calibrated variant and the trace harness's measurement
+ * window.
  */
 
 #include <gtest/gtest.h>
 
+#include "datacenter/experiment.h"
+#include "datacenter/fleet_calibration.h"
 #include "datacenter/scaleout.h"
 
 namespace protean {
@@ -135,6 +139,73 @@ TEST(ScaleOut, CustomBaseServers)
     ScaleOutResult r = analyzeMix("s", "m", {0.5}, params);
     EXPECT_EQ(r.pc3dServers, 100u);
     EXPECT_EQ(r.noColoServers, 150u);
+}
+
+ColoConfig
+shortCell()
+{
+    ColoConfig cell;
+    cell.service = "web-search";
+    cell.qps = 120.0;
+    cell.settleMs = 1000.0;
+    cell.measureMs = 500.0;
+    return cell;
+}
+
+TEST(FleetCalibration, OneServerPerMemberPayingOnlyInstalls)
+{
+    const auto &[mix, members] = tableThreeMixes().front();
+    FleetMixResult a = analyzeMixFromFleet(shortCell(), mix, members);
+
+    ASSERT_EQ(a.utils.size(), members.size());
+    ASSERT_EQ(a.qos.size(), members.size());
+    for (double u : a.utils)
+        EXPECT_GT(u, 0.0);
+    EXPECT_GT(a.service.requests, 0u);
+    // Servers pay only the install cost of what the service compiled.
+    EXPECT_LT(a.serverCompileCycles, a.service.compileCycles);
+    EXPECT_EQ(a.scaleout.service, "web-search");
+    EXPECT_EQ(a.scaleout.mixName, mix);
+
+    // An identical call returns identical results.
+    FleetMixResult b = analyzeMixFromFleet(shortCell(), mix, members);
+    EXPECT_EQ(a.utils, b.utils);
+    EXPECT_EQ(a.qos, b.qos);
+    EXPECT_EQ(a.serverCompileCycles, b.serverCompileCycles);
+    EXPECT_EQ(a.service.requests, b.service.requests);
+    EXPECT_EQ(a.service.hits, b.service.hits);
+    EXPECT_EQ(a.service.compiles, b.service.compiles);
+    EXPECT_EQ(a.service.compileCycles, b.service.compileCycles);
+    EXPECT_EQ(a.scaleout.noColoServers, b.scaleout.noColoServers);
+    EXPECT_EQ(a.scaleout.energyEfficiencyRatio,
+              b.scaleout.energyEfficiencyRatio);
+}
+
+TEST(ColocationTrace, UtilizationDividesByTheMeasuredWindow)
+{
+    // Measurement starts at the first sample boundary at or after
+    // settleMs (1500 ms) and runs to the last boundary (2500 ms):
+    // 1000 ms of counters, not measureMs = 1100 ms.
+    ColoConfig cfg;
+    cfg.batch = "libquantum";
+    cfg.system = System::None;
+    cfg.settleMs = 1250.0;
+    cfg.measureMs = 1100.0;
+    ColoResult r = runColocationTrace(cfg, 500.0);
+
+    ASSERT_EQ(r.trace.size(), 5u);
+    double sum = 0.0;
+    size_t n = 0;
+    for (const TraceSample &s : r.trace) {
+        if (s.tMs > 1500.0) {
+            sum += s.hostBpc;
+            ++n;
+        }
+    }
+    ASSERT_EQ(n, 2u);
+    double measured_bpc = r.utilization *
+        soloBatchBpc(cfg.batch, cfg.machine);
+    EXPECT_NEAR(measured_bpc, sum / n, 1e-9 * (sum / n));
 }
 
 } // namespace

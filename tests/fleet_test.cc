@@ -99,9 +99,9 @@ TEST_F(FleetTest, HitResponseChargesNetworkNotCompile)
     ASSERT_TRUE(hit.remoteHit);
     // Ready = batch close + lookup + response latency + transfer;
     // nowhere near the 100k compile cost.
-    uint64_t close = 300000 + cfg.batchWindowCycles;
+    uint64_t close = 300000 + kBatchWindowCycles;
     EXPECT_EQ(hit.readyCycle,
-              close + cfg.lookupCycles +
+              close + kLookupCycles +
                   cfg.net.responseLatencyCycles +
                   cfg.net.transferCycles(512));
 }

@@ -162,11 +162,11 @@ TEST_F(TelemetryTest, ScrapeCostIsCycleAccounted)
         // Every server ships at least the base payload, and the
         // transfer pays at least the per-request network latency.
         EXPECT_GE(w.scrapeBytes,
-                  cfg.numServers * cfg.telemetry.scrapeBaseBytes);
+                  cfg.numServers * kScrapeBaseBytes);
         EXPECT_GE(w.scrapeNetworkCycles,
                   cfg.numServers * nm.requestLatencyCycles);
         EXPECT_EQ(w.scrapeCpuCycles,
-                  cfg.numServers * cfg.telemetry.scrapeCpuCycles);
+                  cfg.numServers * kScrapeCpuCycles);
         bytes += w.scrapeBytes;
         net += w.scrapeNetworkCycles;
         cpu += w.scrapeCpuCycles;
