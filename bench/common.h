@@ -11,6 +11,9 @@
 #ifndef PROTEAN_BENCH_COMMON_H
 #define PROTEAN_BENCH_COMMON_H
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -71,7 +74,8 @@ struct ObsConfig
  * every bench opts into (or out of) the horizon-batched fast path
  * without code changes; `--parallel` is surfaced through ObsConfig
  * for fleet-stepping benches. Benches register extra flags with
- * addFlag()/addSwitch() before parse(); unknown arguments fail with
+ * addFlag()/addSwitch() before parse(); unknown arguments, and
+ * numeric values that are empty or not wholly a number, fail with
  * the full supported-flag list rather than a bare fatal.
  */
 class ArgParser
@@ -133,8 +137,7 @@ class ArgParser
                 cfg.flamegraphPath = a.substr(13);
             } else if (a.rfind("--seed=", 0) == 0) {
                 markSeen("seed", seen);
-                cfg.seed = std::strtoull(a.substr(7).c_str(),
-                                         nullptr, 0);
+                cfg.seed = parseUnsigned("seed", a.substr(7));
             } else if (a.rfind("--engine=", 0) == 0) {
                 markSeen("engine", seen);
                 std::string e = a.substr(9);
@@ -147,8 +150,7 @@ class ArgParser
                           e.c_str());
             } else if (a.rfind("--parallel=", 0) == 0) {
                 markSeen("parallel", seen);
-                cfg.parallel = std::strtoull(a.substr(11).c_str(),
-                                             nullptr, 0);
+                cfg.parallel = parseUnsigned("parallel", a.substr(11));
             } else if (a.rfind("--validate=", 0) == 0) {
                 markSeen("validate", seen);
                 cfg.validateMode = a.substr(11);
@@ -182,6 +184,9 @@ class ArgParser
             "  --flamegraph=<path> write folded stacks for "
             "flamegraph.pl\n"
             "  --seed=<n>        root seed for stochastic models\n"
+            "  --engine=<mode>   execution engine (step|batch)\n"
+            "  --parallel=<n>    host worker threads for fleet "
+            "benches\n"
             "  --validate=<mode> install-gate mode for fleet benches "
             "(off|ir|diff|paranoid)\n"
             "  --osr=<mode>      on-stack replacement for fleet "
@@ -219,6 +224,36 @@ class ArgParser
                   usage().c_str());
     }
 
+    /** Whole `v` as an unsigned integer (decimal, 0x hex or 0
+     *  octal); fatal otherwise — strtoull alone reads "abc" as 0,
+     *  "4x" as 4 and wraps "-1". */
+    uint64_t parseUnsigned(const std::string &name,
+                           const std::string &v) const
+    {
+        char *end = nullptr;
+        errno = 0;
+        uint64_t x = std::strtoull(v.c_str(), &end, 0);
+        unsigned char first = v.empty() ? 0 : v[0];
+        if (!std::isdigit(first) || *end != '\0' || errno == ERANGE)
+            fatal("flag --%s wants an unsigned integer, got '%s'\n%s",
+                  name.c_str(), v.c_str(), usage().c_str());
+        return x;
+    }
+
+    /** Whole `v` as a finite double; fatal otherwise. */
+    double parseDouble(const std::string &name,
+                       const std::string &v) const
+    {
+        char *end = nullptr;
+        double x = std::strtod(v.c_str(), &end);
+        unsigned char first = v.empty() ? 0 : v[0];
+        if (first == 0 || std::isspace(first) || *end != '\0' ||
+            !std::isfinite(x))
+            fatal("flag --%s wants a number, got '%s'\n%s",
+                  name.c_str(), v.c_str(), usage().c_str());
+        return x;
+    }
+
     bool parseExtra(const std::string &a, std::set<std::string> &seen)
     {
         for (const Flag &f : flags_) {
@@ -234,9 +269,9 @@ class ArgParser
                 if (f.s)
                     *f.s = v;
                 else if (f.u)
-                    *f.u = std::strtoull(v.c_str(), nullptr, 0);
+                    *f.u = parseUnsigned(f.name, v);
                 else if (f.d)
-                    *f.d = std::strtod(v.c_str(), nullptr);
+                    *f.d = parseDouble(f.name, v);
                 return true;
             }
         }

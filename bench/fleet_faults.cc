@@ -17,13 +17,11 @@
  *
  * The exported configuration also runs with the telemetry plane on,
  * continuous profiling included: per-window fleet p99 flip latency
- * (TelemetryHub rollups) is printed, the variant scoreboard's
- * winning-mask table follows, and `--telemetry=<path>` writes the
- * whole plane as JSON while the common `--profile=<path>` /
- * `--flamegraph=<path>` flags export the fleet-merged profile — all
- * byte-identical serial vs --parallel, so CI diffs them too.
- * `--bench-out=<path>` appends a git-stamped run of the exported
- * config's key ratios to a trajectory file (see bench/trajectory).
+ * (TelemetryHub rollups) is printed with a one-line profile summary,
+ * and `--telemetry=<path>` writes the whole plane as JSON while the
+ * common `--profile=<path>` / `--flamegraph=<path>` flags export the
+ * fleet-merged profile — all byte-identical serial vs --parallel, so
+ * CI diffs them too.
  *
  * `--slo` runs the alerting acceptance harness instead of exiting:
  * a benign run calibrates the flip-p99 threshold and must stay
@@ -81,25 +79,45 @@ struct PolicyLevel
     fleet::RetryPolicy policy;
 };
 
-fleet::FleetStats
-runFleet(uint32_t servers, double ms, double mean_ms, uint64_t seed,
-         const faults::FaultConfig &faults,
-         const fleet::RetryPolicy &retry, uint32_t replication,
-         uint32_t workers, bool export_obs)
+/** Run scale every study shares: fleet size, simulated run length,
+ *  per-server request interarrival mean, root seed and host
+ *  workers. */
+struct Scale
+{
+    uint32_t servers;
+    double ms;
+    double meanMs;
+    uint64_t seed;
+    uint32_t workers;
+};
+
+/** The one FleetConfig builder: `s.servers` servers on the shared
+ *  compile service with the given client retry policy and ring
+ *  replication. Each study layers its faults, gate mode, OSR and
+ *  telemetry on top. */
+fleet::FleetConfig
+fleetConfig(const Scale &s, const fleet::RetryPolicy &retry,
+            uint32_t replication)
 {
     fleet::FleetConfig cfg;
-    cfg.numServers = servers;
+    cfg.numServers = s.servers;
     cfg.remoteBackend = true;
-    cfg.meanRequestMs = mean_ms;
-    cfg.seed = seed;
-    cfg.faults = faults;
+    cfg.meanRequestMs = s.meanMs;
+    cfg.seed = s.seed;
     cfg.retry = retry;
     cfg.service.replication = replication;
-    cfg.parallelWorkers = workers;
+    cfg.parallelWorkers = s.workers;
+    return cfg;
+}
+
+fleet::FleetStats
+runFleet(const Scale &s, const faults::FaultConfig &faults,
+         const fleet::RetryPolicy &retry, uint32_t replication)
+{
+    fleet::FleetConfig cfg = fleetConfig(s, retry, replication);
+    cfg.faults = faults;
     fleet::FleetSim sim(cfg);
-    sim.run(ms);
-    if (export_obs)
-        sim.exportObsMetrics();
+    sim.run(s.ms);
     return sim.stats();
 }
 
@@ -144,21 +162,12 @@ fmtU64(uint64_t v)
     return strformat("%llu", static_cast<unsigned long long>(v));
 }
 
+/** A telemetry-plane fleet under `faults`: R=2, full ladder. */
 fleet::FleetConfig
-telemetryFleetConfig(uint32_t servers, double mean_ms, uint64_t seed,
-                     const faults::FaultConfig &faults,
-                     const fleet::RetryPolicy &retry,
-                     uint32_t replication, uint32_t workers)
+telemetryFleetConfig(const Scale &s, const faults::FaultConfig &faults)
 {
-    fleet::FleetConfig cfg;
-    cfg.numServers = servers;
-    cfg.remoteBackend = true;
-    cfg.meanRequestMs = mean_ms;
-    cfg.seed = seed;
+    fleet::FleetConfig cfg = fleetConfig(s, ladder(true), 2);
     cfg.faults = faults;
-    cfg.retry = retry;
-    cfg.service.replication = replication;
-    cfg.parallelWorkers = workers;
     cfg.telemetry.enabled = true;
     return cfg;
 }
@@ -199,25 +208,17 @@ addFleetSlos(fleet::TelemetryHub &hub, double flip_p99_threshold)
  *  handful of distinct content keys draw one; the draw is a pure
  *  hash, so the outcome is deterministic). */
 fleet::FleetStats
-runGate(uint32_t servers, double ms, double mean_ms, uint64_t seed,
-        validate::Mode mode, bool inject, uint32_t workers)
+runGate(const Scale &s, validate::Mode mode, bool inject)
 {
-    fleet::FleetConfig cfg;
-    cfg.numServers = servers;
-    cfg.remoteBackend = true;
-    cfg.meanRequestMs = mean_ms;
-    cfg.seed = seed;
     // The ladder is armed because a key whose every compile attempt
     // miscompiles is failed by the gate and must degrade to a local
     // compile rather than stall its waiters.
-    cfg.retry = ladder(true);
-    cfg.service.replication = 2;
+    fleet::FleetConfig cfg = fleetConfig(s, ladder(true), 2);
     cfg.validate.mode = mode;
     if (inject)
         cfg.faults.miscompileProb = 0.9;
-    cfg.parallelWorkers = workers;
     fleet::FleetSim sim(cfg);
-    sim.run(ms);
+    sim.run(s.ms);
     return sim.stats();
 }
 
@@ -243,10 +244,7 @@ validateOverhead(const fleet::ServiceStats &st)
  *  install time — zero bad installs across the fleet. Returns false
  *  if any gate condition fails. */
 bool
-runValidationGate(uint32_t servers, double ms, double mean_ms,
-                  uint64_t seed, uint32_t workers,
-                  const std::string &out_path,
-                  double *efficiency_out)
+runValidationGate(const Scale &s, const std::string &out_path)
 {
     bool ok = true;
     std::vector<GateRow> rows;
@@ -257,9 +255,7 @@ runValidationGate(uint32_t servers, double ms, double mean_ms,
         GateRow r;
         r.config = "clean";
         r.mode = validate::Mode::Ir;
-        r.st = runGate(servers, ms, mean_ms, seed, r.mode, false,
-                       workers)
-                   .service;
+        r.st = runGate(s, r.mode, false).service;
         if (r.st.validateFails != 0 || r.st.compiles == 0 ||
             validateOverhead(r.st) >= 0.05)
             r.pass = ok = false;
@@ -274,9 +270,7 @@ runValidationGate(uint32_t servers, double ms, double mean_ms,
         GateRow r;
         r.config = "miscompiling";
         r.mode = mode;
-        r.st = runGate(servers, ms, mean_ms, seed, mode, true,
-                       workers)
-                   .service;
+        r.st = runGate(s, mode, true).service;
         if (mode != validate::Mode::Off &&
             (r.st.miscompilesInjected == 0 ||
              r.st.miscompilesInstalled != 0))
@@ -307,17 +301,6 @@ runValidationGate(uint32_t servers, double ms, double mean_ms,
                 "the bad builds it installs; any gated mode must "
                 "show zero bad installs and the clean run zero "
                 "false rejects (tier-1 overhead < 5%%)\n");
-
-    if (efficiency_out) {
-        // Host-independent trajectory ratio: useful compile cycles
-        // over total backend (compile + validation) cycles of the
-        // clean tier-1 run. 1.0 = a free gate.
-        const fleet::ServiceStats &clean = rows.front().st;
-        uint64_t total = clean.compileCycles + clean.validateCycles;
-        *efficiency_out = total == 0 ? 1.0 :
-            static_cast<double>(clean.compileCycles) /
-            static_cast<double>(total);
-    }
 
     if (!out_path.empty()) {
         // Stable-key JSON for the CI determinism byte-diff: rows in
@@ -372,23 +355,15 @@ runValidationGate(uint32_t servers, double ms, double mean_ms,
  * next loop back-edge.
  */
 fleet::FleetStats
-runHotloop(uint32_t servers, double ms, double mean_ms, uint64_t seed,
-           uint32_t workers, validate::Mode mode, bool osr)
+runHotloop(const Scale &s, validate::Mode mode, bool osr)
 {
-    fleet::FleetConfig cfg;
-    cfg.numServers = servers;
+    fleet::FleetConfig cfg = fleetConfig(s, ladder(true), 2);
     cfg.batch = "hotloop";
     cfg.hotFuncsOnly = true;
-    cfg.remoteBackend = true;
-    cfg.meanRequestMs = mean_ms;
-    cfg.seed = seed;
-    cfg.retry = ladder(true);
-    cfg.service.replication = 2;
     cfg.validate.mode = mode;
-    cfg.parallelWorkers = workers;
     cfg.osr = osr;
     fleet::FleetSim sim(cfg);
-    sim.run(ms);
+    sim.run(s.ms);
     return sim.stats();
 }
 
@@ -401,8 +376,7 @@ runHotloop(uint32_t servers, double ms, double mean_ms, uint64_t seed,
  * false when any gate condition fails.
  */
 bool
-runHotloopStudy(uint32_t servers, double ms, double mean_ms,
-                uint64_t seed, uint32_t workers, validate::Mode mode,
+runHotloopStudy(const Scale &s, validate::Mode mode,
                 const std::string &osr_mode,
                 const std::string &out_path)
 {
@@ -413,13 +387,9 @@ runHotloopStudy(uint32_t servers, double ms, double mean_ms,
     };
     std::vector<Row> rows;
     if (osr_mode != "on")
-        rows.push_back({"entry-only",
-                        runHotloop(servers, ms, mean_ms, seed,
-                                   workers, mode, false)});
+        rows.push_back({"entry-only", runHotloop(s, mode, false)});
     if (osr_mode != "off")
-        rows.push_back({"osr",
-                        runHotloop(servers, ms, mean_ms, seed,
-                                   workers, mode, true)});
+        rows.push_back({"osr", runHotloop(s, mode, true)});
 
     bool ok = true;
     TextTable t("Hot-loop flip-effect latency: entry-only vs "
@@ -578,14 +548,10 @@ sloCases()
 /** Max per-window fleet flip p99 of a benign telemetry run; the
  *  calibration point for the flip_p99 SLO. */
 double
-calibrateFlipP99(uint32_t servers, double ms, double mean_ms,
-                 uint64_t seed, uint32_t workers)
+calibrateFlipP99(const Scale &s)
 {
-    fleet::FleetConfig cfg = telemetryFleetConfig(
-        servers, mean_ms, seed, faultsAt(0.0), ladder(true), 2,
-        workers);
-    fleet::FleetSim sim(cfg);
-    sim.run(ms);
+    fleet::FleetSim sim(telemetryFleetConfig(s, faultsAt(0.0)));
+    sim.run(s.ms);
     sim.flushTelemetry();
     double max_p99 = 0.0;
     for (const fleet::FleetWindow &w : sim.telemetry()->windows()) {
@@ -601,18 +567,16 @@ calibrateFlipP99(uint32_t servers, double ms, double mean_ms,
  * Returns false (and prints why) on any miss or false alarm.
  */
 bool
-runSloAcceptance(uint32_t servers, double ms, double mean_ms,
-                 uint64_t seed, uint32_t workers)
+runSloAcceptance(Scale s)
 {
     bool ok = true;
     // Dense request traffic: rare-event classes (drops, corruptions)
     // need enough requests per window to show up at --quick scale.
-    mean_ms = std::min(mean_ms, 1.0);
+    s.meanMs = std::min(s.meanMs, 1.0);
 
     // Headroom over the worst benign window: benign runs never page
     // flip_p99, faulted runs that visibly stretch the tail do.
-    double benign_p99 = calibrateFlipP99(servers, ms, mean_ms, seed,
-                                         workers);
+    double benign_p99 = calibrateFlipP99(s);
     double flip_threshold = 2.0 * std::max(benign_p99, 1000.0);
     std::printf("calibration: benign worst-window flip p99 %.0f "
                 "cycles -> flip_p99 SLO threshold %.0f\n\n",
@@ -623,12 +587,9 @@ runSloAcceptance(uint32_t servers, double ms, double mean_ms,
                  "Raised", "Verdict"});
 
     {
-        fleet::FleetConfig cfg = telemetryFleetConfig(
-            servers, mean_ms, seed, faultsAt(0.0), ladder(true), 2,
-            workers);
-        fleet::FleetSim sim(cfg);
+        fleet::FleetSim sim(telemetryFleetConfig(s, faultsAt(0.0)));
         addFleetSlos(*sim.telemetry(), flip_threshold);
-        sim.run(ms);
+        sim.run(s.ms);
         sim.flushTelemetry();
         const obs::SloMonitor &slo = sim.telemetry()->slo();
         bool silent = slo.alerts().empty();
@@ -639,11 +600,9 @@ runSloAcceptance(uint32_t servers, double ms, double mean_ms,
     }
 
     for (const SloCase &c : sloCases()) {
-        fleet::FleetConfig cfg = telemetryFleetConfig(
-            servers, mean_ms, seed, c.cfg, ladder(true), 2, workers);
-        fleet::FleetSim sim(cfg);
+        fleet::FleetSim sim(telemetryFleetConfig(s, c.cfg));
         addFleetSlos(*sim.telemetry(), flip_threshold);
-        sim.run(ms);
+        sim.run(s.ms);
         sim.flushTelemetry();
         const fleet::TelemetryHub &hub = *sim.telemetry();
 
@@ -704,7 +663,6 @@ main(int argc, char **argv)
     bool slo_mode = false;
     bool hotloop_mode = false;
     std::string telemetry_path;
-    std::string bench_out;
     std::string validate_out;
     std::string hotloop_out;
     bench::ArgParser parser;
@@ -715,8 +673,6 @@ main(int argc, char **argv)
     parser.addSwitch("quick", &quick, "tiny configuration for CI");
     parser.addFlag("telemetry", &telemetry_path,
                    "write the telemetry plane (windows/SLOs) as JSON");
-    parser.addFlag("bench-out", &bench_out,
-                   "append a git-stamped trajectory run");
     parser.addFlag("validate-out", &validate_out,
                    "write the validation-gate summary as stable JSON");
     parser.addSwitch("slo", &slo_mode,
@@ -730,7 +686,9 @@ main(int argc, char **argv)
         servers = 4;
         ms = 150.0;
     }
-    uint32_t workers = static_cast<uint32_t>(obs_cfg.parallel);
+    const Scale scale{static_cast<uint32_t>(servers), ms, mean_ms,
+                      obs_cfg.seed,
+                      static_cast<uint32_t>(obs_cfg.parallel)};
     // Parsed up front so a typo fails before any simulation runs;
     // picks the exported telemetry configuration's gate mode.
     validate::Mode export_mode = fleet::FleetConfig{}.validate.mode;
@@ -738,9 +696,7 @@ main(int argc, char **argv)
         export_mode = validate::parseMode(obs_cfg.validateMode);
 
     if (hotloop_mode) {
-        bool ok = runHotloopStudy(static_cast<uint32_t>(servers), ms,
-                                  mean_ms, obs_cfg.seed, workers,
-                                  export_mode, obs_cfg.osr,
+        bool ok = runHotloopStudy(scale, export_mode, obs_cfg.osr,
                                   hotloop_out);
         bench::exportObs(obs_cfg);
         if (!ok) {
@@ -753,8 +709,7 @@ main(int argc, char **argv)
     }
 
     if (slo_mode) {
-        bool ok = runSloAcceptance(static_cast<uint32_t>(servers), ms,
-                                   mean_ms, obs_cfg.seed, workers);
+        bool ok = runSloAcceptance(scale);
         bench::exportObs(obs_cfg);
         if (!ok) {
             std::fprintf(stderr,
@@ -768,9 +723,8 @@ main(int argc, char **argv)
 
     bool gate_failed = false;
 
-    fleet::FleetStats benign = runFleet(
-        static_cast<uint32_t>(servers), ms, mean_ms, obs_cfg.seed,
-        faultsAt(0.0), ladder(false), 1, workers, false);
+    fleet::FleetStats benign =
+        runFleet(scale, faultsAt(0.0), ladder(false), 1);
     uint64_t benign_cycles = benign.totalCompileCycles();
 
     {
@@ -790,10 +744,8 @@ main(int argc, char **argv)
         for (const FaultLevel &lv : levels) {
             for (uint32_t repl : {1u, 2u}) {
                 for (const PolicyLevel &pol : policies) {
-                    fleet::FleetStats st = runFleet(
-                        static_cast<uint32_t>(servers), ms, mean_ms,
-                        obs_cfg.seed, lv.cfg, pol.policy, repl,
-                        workers, false);
+                    fleet::FleetStats st =
+                        runFleet(scale, lv.cfg, pol.policy, repl);
                     double overhead = benign_cycles == 0 ? 0.0 :
                         static_cast<double>(
                             st.totalCompileCycles()) /
@@ -823,14 +775,14 @@ main(int argc, char **argv)
                     "(retry ladder, no hedge)");
         t.setHeader({"Drop", "R", "Hit rate", "Timeouts", "Retries",
                      "Fallbacks", "Worst flip (cyc)", "Stalled"});
+        Scale half = scale;
+        half.ms /= 2.0;
         for (double drop : {0.0, 0.02, 0.10}) {
             for (uint32_t repl : {1u, 2u, 3u}) {
                 faults::FaultConfig f;
                 f.requestDropProb = drop;
-                fleet::FleetStats st = runFleet(
-                    static_cast<uint32_t>(servers), ms / 2.0,
-                    mean_ms, obs_cfg.seed, f, ladder(false), repl,
-                    workers, false);
+                fleet::FleetStats st =
+                    runFleet(half, f, ladder(false), repl);
                 t.addRow({TextTable::fmt(drop, 2),
                           strformat("%u", repl),
                           bench::fmtRatio(st.service.hitRateOf()),
@@ -853,10 +805,7 @@ main(int argc, char **argv)
     // through (zero false rejects, <5% tier-1 overhead), injected
     // miscompiles must all be rejected before any install.
     std::printf("\n");
-    double validate_efficiency = 1.0;
-    if (!runValidationGate(static_cast<uint32_t>(servers), ms,
-                           mean_ms, obs_cfg.seed, workers,
-                           validate_out, &validate_efficiency))
+    if (!runValidationGate(scale, validate_out))
         gate_failed = true;
 
     // The exported configuration: moderate faults, R=2, full ladder,
@@ -864,9 +813,8 @@ main(int argc, char **argv)
     // --parallel=2) and byte-diffs the files — fault injection and
     // the scrape plane must not break determinism. The common
     // --validate flag picks its install-gate mode (default tier 1).
-    fleet::FleetConfig ecfg = telemetryFleetConfig(
-        static_cast<uint32_t>(servers), mean_ms, obs_cfg.seed,
-        faultsAt(1.0), ladder(true), 2, workers);
+    fleet::FleetConfig ecfg =
+        telemetryFleetConfig(scale, faultsAt(1.0));
     ecfg.validate.mode = export_mode;
     // The shared --osr flag turns on-stack replacement on for the
     // exported config ("both" is only meaningful to --hotloop).
@@ -927,36 +875,8 @@ main(int argc, char **argv)
         if (!telemetry_path.empty())
             hub.writeJson(telemetry_path);
 
-        bench::printWinningMasks(hub);
+        bench::printProfileSummary(hub);
         bench::exportFleetProfile(hub, obs_cfg);
-
-        if (!bench_out.empty()) {
-            obs::HdrHistogram flips = hub.fleetFlip();
-            std::map<std::string, double> metrics;
-            metrics["hit_rate"] = exported.service.hitRateOf();
-            metrics["flip_p99_cycles"] =
-                static_cast<double>(flips.quantile(0.99));
-            metrics["profile_samples"] = static_cast<double>(
-                hub.fleetProfile().totalSamples());
-            metrics["flip_records"] = static_cast<double>(
-                hub.scoreboard().totalFlips());
-            // Useful-compile fraction of the clean gated run (see
-            // runValidationGate); host-independent like every other
-            // trajectory ratio.
-            metrics["validate_efficiency"] = validate_efficiency;
-            uint64_t run = bench::appendTrajectoryRun(
-                bench_out, "fleet_faults",
-                quick ? "quick" : "full", metrics,
-                strformat(
-                    "{\"servers\": %llu, \"sim_ms\": %g, "
-                    "\"stalled\": %llu}",
-                    static_cast<unsigned long long>(servers), ms,
-                    static_cast<unsigned long long>(
-                        exported.stalledRequests)));
-            std::printf("appended run %llu to %s\n",
-                        static_cast<unsigned long long>(run),
-                        bench_out.c_str());
-        }
     }
     std::printf("\nexported config: %llu crashes, %llu dropped, "
                 "%llu retries, %llu fallbacks, %llu stalled\n",

@@ -14,8 +14,8 @@
  * When the common `--profile=<path>` / `--flamegraph=<path>` flags
  * are given, the shared-service configuration re-runs with the
  * telemetry plane and continuous profiler on: the fleet-merged
- * profile is exported (byte-identical serial vs --parallel) and the
- * variant scoreboard's winning-mask table is printed.
+ * profile is exported (byte-identical serial vs --parallel) and a
+ * one-line summary of it is printed.
  *
  * Flags (beyond the common set): --servers=<n>, --ms=<x> (simulated
  * run length), --mean-ms=<x> (per-server request interarrival mean)
@@ -209,7 +209,7 @@ main(int argc, char **argv)
         fleet::FleetSim sim(cfg);
         sim.run(ms);
         sim.flushTelemetry();
-        bench::printWinningMasks(*sim.telemetry());
+        bench::printProfileSummary(*sim.telemetry());
         bench::exportFleetProfile(*sim.telemetry(), obs_cfg);
     }
 

@@ -4,16 +4,12 @@
  *
  * Fleet benches that run with `telemetry.profiling` on use these to
  * (1) honor the common `--profile=<path>` / `--flamegraph=<path>`
- * flags against the hub's fleet-merged profile and (2) print the
- * variant scoreboard's winning-mask table — the fleet-wide answer to
- * "which NT-mask should this function run in this phase".
+ * flags against the hub's fleet-merged profile and (2) print a
+ * one-line summary of it.
  */
 
 #ifndef PROTEAN_BENCH_PROFILE_REPORT_H
 #define PROTEAN_BENCH_PROFILE_REPORT_H
-
-#include <set>
-#include <utility>
 
 #include "common.h"
 #include "fleet/telemetry.h"
@@ -33,39 +29,12 @@ exportFleetProfile(const fleet::TelemetryHub &hub,
         hub.fleetProfile().writeFolded(cfg.flamegraphPath);
 }
 
-/** The scoreboard's advisory table: one row per (function, phase)
- *  ever flipped, naming the recommended mask and its record. */
+/** One-line summary of the fleet-merged profile: sample and bucket
+ *  counts and the hottest function. */
 inline void
-printWinningMasks(const fleet::TelemetryHub &hub)
+printProfileSummary(const fleet::TelemetryHub &hub)
 {
-    const fleet::VariantScoreboard &sb = hub.scoreboard();
     const obs::Profile &prof = hub.fleetProfile();
-    std::printf("\n");
-    TextTable t("Variant scoreboard: winning NT-mask per (function, "
-                "phase)");
-    t.setHeader({"Function", "Phase", "Best mask", "Flips", "Wins",
-                 "Mean dIPC", "Samples"});
-    std::set<std::pair<uint64_t, uint32_t>> pairs;
-    for (const auto &[key, o] : sb.outcomes())
-        pairs.emplace(key.funcHash, key.phase);
-    for (const auto &[hash, phase] : pairs) {
-        std::string mask = sb.recommendMask(hash, phase);
-        const fleet::VariantOutcome *o =
-            sb.outcome(hash, mask, phase);
-        t.addRow({prof.nameOf(hash), strformat("%u", phase),
-                  mask.empty() ? "original" : mask,
-                  strformat("%llu",
-                            static_cast<unsigned long long>(
-                                o ? o->flips : 0)),
-                  strformat("%llu",
-                            static_cast<unsigned long long>(
-                                o ? o->wins : 0)),
-                  strformat("%+.4f", o ? o->score() : 0.0),
-                  strformat("%llu",
-                            static_cast<unsigned long long>(
-                                prof.samplesOf(hash)))});
-    }
-    t.print();
     std::printf("profile: %llu samples in %zu (func, mask, phase) "
                 "buckets; hottest %s\n",
                 static_cast<unsigned long long>(

@@ -24,8 +24,6 @@ constexpr uint64_t kScrapeBucketBytes = 24;
 constexpr uint32_t kScrapeCore = 0;
 /** Additional payload per profile bucket shipped. */
 constexpr uint64_t kScrapeProfileEntryBytes = 48;
-/** Additional payload per flip-ledger record shipped. */
-constexpr uint64_t kScrapeFlipBytes = 32;
 
 } // namespace
 
@@ -66,7 +64,6 @@ FleetWindow::fields() const
     f["hit_rate"] = hitRate;
     f["hits"] = static_cast<double>(hits);
     f["local_fallbacks"] = static_cast<double>(localFallbacks);
-    f["flip_records"] = static_cast<double>(flipRecords);
     f["misses"] = static_cast<double>(misses);
     f["profile_samples"] = static_cast<double>(profileSamples);
     f["replica_routes"] = static_cast<double>(replicaRoutes);
@@ -212,21 +209,14 @@ TelemetryHub::closeWindow(uint64_t cycle)
             w.flipEffectOsr.merge(fe_osr);
         }
         if (cfg_.profiling && slot.profiler) {
-            // Drain the server's continuous profile and flip
-            // ledger; both are payload like any other scrape data.
+            // Drain the server's continuous profile; it is payload
+            // like any other scrape data.
             obs::Profile server_profile;
             slot.profiler->drainProfile(server_profile);
             payload += kScrapeProfileEntryBytes *
                 server_profile.entries().size();
             w.profileSamples += server_profile.totalSamples();
             profile_.merge(server_profile);
-
-            std::vector<runtime::FlipRecord> records =
-                slot.profiler->drainLedger();
-            payload += kScrapeFlipBytes * records.size();
-            w.flipRecords += records.size();
-            for (const runtime::FlipRecord &r : records)
-                scoreboard_.recordFlip(r);
         }
         // The delta rides the modeled network; serialization steals
         // real cycles from the server like any other runtime agent.
@@ -308,14 +298,12 @@ TelemetryHub::toJson() const
         "{\n\"config\": {\"profiling\": %s, "
         "\"scrape_base_bytes\": %llu, "
         "\"scrape_bucket_bytes\": %llu, \"scrape_cpu_cycles\": %llu, "
-        "\"scrape_flip_bytes\": %llu, "
         "\"scrape_profile_entry_bytes\": %llu, "
         "\"servers\": %zu, \"window_cycles\": %llu},\n",
         cfg_.profiling ? "true" : "false",
         static_cast<unsigned long long>(kScrapeBaseBytes),
         static_cast<unsigned long long>(kScrapeBucketBytes),
         static_cast<unsigned long long>(kScrapeCpuCycles),
-        static_cast<unsigned long long>(kScrapeFlipBytes),
         static_cast<unsigned long long>(kScrapeProfileEntryBytes),
         servers_.size(),
         static_cast<unsigned long long>(kWindowCycles));
@@ -327,7 +315,6 @@ TelemetryHub::toJson() const
                      hdrJson(fleetFlipEffectOsr()).c_str());
     if (cfg_.profiling) {
         out += "\"profile\": " + profile_.toJson() + ",\n";
-        out += "\"scoreboard\": " + scoreboard_.toJson() + ",\n";
     }
     out += strformat(
         "\"scrape\": {\"bytes\": %llu, \"cpu_cycles\": %llu, "
@@ -416,8 +403,6 @@ TelemetryHub::exportObsMetrics() const
             .set(static_cast<double>(profile_.totalSamples()));
         m.gauge("fleet.telemetry.profile_buckets")
             .set(static_cast<double>(profile_.entries().size()));
-        m.gauge("fleet.telemetry.flip_records")
-            .set(static_cast<double>(scoreboard_.totalFlips()));
     }
 }
 

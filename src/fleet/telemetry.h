@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "fleet/client.h"
-#include "fleet/scoreboard.h"
 #include "fleet/service.h"
 #include "obs/hdr.h"
 #include "obs/profile.h"
@@ -65,9 +64,8 @@ struct TelemetryConfig
     /** Master switch; off = the hub is never built and the hot path
      *  pays nothing. */
     bool enabled = false;
-    /** Scrape continuous profiles and flip ledgers too (requires
-     *  per-server VariantProfilers; FleetSim enables them when this
-     *  is set). */
+    /** Scrape continuous profiles too (requires per-server
+     *  VariantProfilers; FleetSim enables them when this is set). */
     bool profiling = false;
 };
 
@@ -132,8 +130,6 @@ struct FleetWindow
     // ----- continuous-profiling deltas (0 when profiling off) -----
     /** PC samples scraped from server profilers this window. */
     uint64_t profileSamples = 0;
-    /** Flip-experiment records scraped this window. */
-    uint64_t flipRecords = 0;
 
     // ----- the scrape's own cost -----
     uint64_t scrapeBytes = 0;
@@ -196,13 +192,6 @@ class TelemetryHub
      *  Empty when profiling is off. */
     const obs::Profile &fleetProfile() const { return profile_; }
 
-    /** Fleet-merged variant scoreboard (flip outcomes by function,
-     *  mask and phase). Empty when profiling is off. */
-    const VariantScoreboard &scoreboard() const
-    {
-        return scoreboard_;
-    }
-
     /** Total scrape cost paid so far. */
     uint64_t scrapeBytesTotal() const { return scrapeBytes_; }
     uint64_t scrapeNetworkCyclesTotal() const
@@ -241,7 +230,6 @@ class TelemetryHub
     std::vector<ServerSlot> servers_;
     std::vector<FleetWindow> windows_;
     obs::Profile profile_;
-    VariantScoreboard scoreboard_;
     obs::SloMonitor slo_;
     ServiceStats prevService_;
     uint64_t prevPauses_ = 0;

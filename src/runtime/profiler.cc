@@ -9,10 +9,6 @@ namespace runtime {
 
 namespace {
 
-/** Monitoring ticks a flip experiment spans before its after-IPC is
- *  read. */
-constexpr uint32_t kExperimentTicks = 2;
-static_assert(kExperimentTicks > 0);
 /** PhaseDetector sensitivity (see monitor.h). */
 constexpr double kPhaseRateThreshold = 0.3;
 constexpr double kPhaseAlpha = 0.25;
@@ -82,63 +78,18 @@ VariantProfiler::onTick()
     sim::HpmCounters cur = hostHpm();
     sim::HpmCounters window = cur - lastTick_;
     lastTick_ = cur;
-    lastWindowIpc_ = ipcOf(window);
+    double ipc = ipcOf(window);
 
-    if (detector_.update(lastWindowIpc_)) {
+    if (detector_.update(ipc)) {
         ++phase_;
         obs::metrics().counter("runtime.profiler.phase_changes")
             .inc();
         if (obs::tracer().enabled()) {
             obs::tracer().instant(
                 "profiler", "phase_advance",
-                strformat("\"phase\":%u,\"ipc\":%.6f", phase_,
-                          lastWindowIpc_));
+                strformat("\"phase\":%u,\"ipc\":%.6f", phase_, ipc));
         }
     }
-
-    // Mature flip experiments whose window elapsed. Completion order
-    // follows dispatch order (stable erase), so the ledger is
-    // deterministic.
-    for (size_t i = 0; i < experiments_.size();) {
-        Experiment &e = experiments_[i];
-        if (--e.ticksLeft > 0) {
-            ++i;
-            continue;
-        }
-        sim::HpmCounters after = hostHpm() - e.start;
-        e.record.ipcAfter = ipcOf(after);
-        ledger_.push_back(e.record);
-        obs::metrics().counter("runtime.profiler.flip_records")
-            .inc();
-        experiments_.erase(experiments_.begin() +
-                           static_cast<std::ptrdiff_t>(i));
-    }
-}
-
-void
-VariantProfiler::onFlipDispatched(ir::FuncId func,
-                                  const std::string &mask)
-{
-    Experiment e;
-    e.record.funcHash = funcHash(func);
-    if (e.record.funcHash != 0)
-        profile_.setName(e.record.funcHash,
-                         ir_.module().function(func).name());
-    e.record.mask = mask;
-    e.record.phase = phase_;
-    e.record.ipcBefore = lastWindowIpc_;
-    e.record.cycle = machine_.now();
-    e.ticksLeft = kExperimentTicks;
-    e.start = hostHpm();
-    experiments_.push_back(std::move(e));
-}
-
-std::vector<FlipRecord>
-VariantProfiler::drainLedger()
-{
-    std::vector<FlipRecord> out;
-    out.swap(ledger_);
-    return out;
 }
 
 } // namespace runtime

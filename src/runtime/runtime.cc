@@ -135,8 +135,6 @@ ProteanRuntime::deployVariant(ir::FuncId func, const BitVector &mask,
                 if (v.entry == e) {
                     sampler_->registerVariantRange(v.entry, v.end,
                                                    v.func, v.key);
-                    if (profiler_)
-                        profiler_->onFlipDispatched(v.func, v.key);
                     rec = &v;
                     break;
                 }

@@ -4,7 +4,8 @@
  * rejection: `--seed=1 --seed=2` used to resolve silently as
  * last-one-wins, which corrupts sweeps driven by generated command
  * lines. Duplicates of built-ins, custom value flags and custom
- * switches must all be fatal; `-v` stays repeatable.
+ * switches must all be fatal; `-v` stays repeatable. Numeric values
+ * must be wholly a number: `--seed=abc` used to run as seed 0.
  */
 
 #include <gtest/gtest.h>
@@ -107,6 +108,61 @@ TEST(BenchArgsTest, DistinctFlagsDoNotCollide)
     parser.parse(a.argc(), a.argv());
     EXPECT_EQ(ms, 3u);
     EXPECT_EQ(mslong, 4u);
+}
+
+TEST(BenchArgsTest, NonNumericBuiltinIsFatalWithFlagList)
+{
+    for (const char *arg : {"--seed=abc", "--seed=", "--seed=12x",
+                            "--seed=-1", "--parallel=two"}) {
+        ArgParser parser;
+        Argv a({arg});
+        EXPECT_DEATH(parser.parse(a.argc(), a.argv()),
+                     "wants an unsigned integer.*supported flags:")
+            << arg;
+    }
+}
+
+TEST(BenchArgsTest, NonNumericCustomUnsignedIsFatal)
+{
+    for (const char *arg :
+         {"--servers=4x", "--servers=", "--servers= 4"}) {
+        uint64_t servers = 0;
+        ArgParser parser;
+        parser.addFlag("servers", &servers, "fleet size");
+        Argv a({arg});
+        EXPECT_DEATH(parser.parse(a.argc(), a.argv()),
+                     "--servers wants an unsigned integer.*"
+                     "--servers=<n>")
+            << arg;
+    }
+}
+
+TEST(BenchArgsTest, NonNumericCustomDoubleIsFatal)
+{
+    for (const char *arg : {"--ms=", "--ms=fast", "--ms=1.5ms",
+                            "--ms=nan", "--ms= 2"}) {
+        double ms = 0.0;
+        ArgParser parser;
+        parser.addFlag("ms", &ms, "run length");
+        Argv a({arg});
+        EXPECT_DEATH(parser.parse(a.argc(), a.argv()),
+                     "--ms wants a number.*--ms=<x>")
+            << arg;
+    }
+}
+
+TEST(BenchArgsTest, NumericValuesAcceptHexSignAndExponent)
+{
+    double lo = 0.0, hi = 0.0;
+    ArgParser parser;
+    parser.addFlag("lo", &lo, "low");
+    parser.addFlag("hi", &hi, "high");
+    Argv a({"--seed=0x10", "--parallel=4", "--lo=-0.5", "--hi=2e3"});
+    ObsConfig cfg = parser.parse(a.argc(), a.argv());
+    EXPECT_EQ(cfg.seed, 16u);
+    EXPECT_EQ(cfg.parallel, 4u);
+    EXPECT_DOUBLE_EQ(lo, -0.5);
+    EXPECT_DOUBLE_EQ(hi, 2000.0);
 }
 
 } // namespace

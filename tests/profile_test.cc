@@ -2,9 +2,8 @@
  * @file
  * Tests for the continuous-profiling plane: obs::Profile merge
  * algebra and stable exports, per-server VariantProfiler attribution
- * (variant masks + phase ids) and flip ledger, the fleet
- * VariantScoreboard's winner selection, and byte-identical profile /
- * flamegraph / scoreboard exports across repeats and
+ * (HPM deltas, variant masks and phase ids), and byte-identical
+ * profile / flamegraph / telemetry exports across repeats and
  * serial-vs-parallel fleet stepping.
  */
 
@@ -15,12 +14,14 @@
 #include <vector>
 
 #include "fleet/fleet.h"
-#include "fleet/scoreboard.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
+#include "pcc/pcc.h"
+#include "runtime/attach.h"
 #include "runtime/profiler.h"
 #include "support/logging.h"
+#include "workloads/registry.h"
 
 namespace protean {
 namespace {
@@ -141,68 +142,80 @@ TEST(Profile, FoldedLinesNameVariantAndPhaseFrames)
 }
 
 // ---------------------------------------------------------------- //
-//                       Variant scoreboard                         //
+//                  Per-server VariantProfiler                      //
 // ---------------------------------------------------------------- //
 
-runtime::FlipRecord
-flip(uint64_t hash, const std::string &mask, uint32_t phase,
-     double before, double after)
+/** A function of the rig's binary (any real one has a nonzero
+ *  content hash). */
+constexpr ir::FuncId kFunc = 0;
+
+/** One machine running a protean batch, profiled on its host core
+ *  (core 0). */
+struct ProfilerRig
 {
-    runtime::FlipRecord r;
-    r.funcHash = hash;
-    r.mask = mask;
-    r.phase = phase;
-    r.ipcBefore = before;
-    r.ipcAfter = after;
-    return r;
+    ir::Module module =
+        workloads::buildBatch(workloads::batchSpec("soplex"));
+    isa::Image image = pcc::compile(module);
+    sim::Machine machine;
+    runtime::Attachment att = runtime::attach(machine.load(image, 0));
+    runtime::VariantProfiler profiler{machine, 0, *att.ir};
+
+    sim::HpmCounters hpm() { return machine.core(0).hpm(); }
+};
+
+TEST(VariantProfiler, SampleCarriesTheHpmDeltaSinceThePreviousOne)
+{
+    ProfilerRig rig;
+    rig.machine.runFor(20000);
+    rig.profiler.recordSample(kFunc, "");
+    sim::HpmCounters before = rig.hpm();
+    rig.machine.runFor(30000);
+    sim::HpmCounters after = rig.hpm();
+    rig.profiler.recordSample(kFunc, "m1");
+
+    const obs::Profile &p = rig.profiler.profile();
+    uint64_t hash = rig.att.ir->hash(kFunc);
+    ASSERT_NE(hash, 0u);
+    ASSERT_EQ(p.entries().count(key(hash, "m1", 0)), 1u);
+    const obs::ProfileCounts &c = p.entries().at(key(hash, "m1", 0));
+    EXPECT_EQ(c.samples, 1u);
+    EXPECT_GT(after.cycles, before.cycles);
+    EXPECT_GT(after.instructions, before.instructions);
+    EXPECT_EQ(c.cycles, after.cycles - before.cycles);
+    EXPECT_EQ(c.instructions, after.instructions - before.instructions);
+    EXPECT_EQ(p.nameOf(hash),
+              rig.att.ir->module().function(kFunc).name());
 }
 
-TEST(Scoreboard, PicksThePlantedWinnerPerPhase)
+TEST(VariantProfiler, AdvancePhaseMovesLaterSamplesToTheNextBucket)
 {
-    fleet::VariantScoreboard sb;
-    EXPECT_TRUE(sb.empty());
-    EXPECT_EQ(sb.recommendMask(11, 0), "");
+    ProfilerRig rig;
+    rig.machine.runFor(20000);
+    rig.profiler.recordSample(kFunc, "m");
+    EXPECT_EQ(rig.profiler.phase(), 0u);
+    rig.profiler.advancePhase();
+    EXPECT_EQ(rig.profiler.phase(), 1u);
+    rig.machine.runFor(20000);
+    rig.profiler.recordSample(kFunc, "m");
 
-    // Phase 0: mask "a" planted to win (+0.3 mean), "b" loses.
-    sb.recordFlip(flip(11, "a", 0, 1.0, 1.3));
-    sb.recordFlip(flip(11, "a", 0, 1.0, 1.3));
-    sb.recordFlip(flip(11, "b", 0, 1.0, 0.9));
-    // Phase 1: the tables turn — "b" wins.
-    sb.recordFlip(flip(11, "a", 1, 1.0, 0.8));
-    sb.recordFlip(flip(11, "b", 1, 1.0, 1.4));
-
-    EXPECT_EQ(sb.recommendMask(11, 0), "a");
-    EXPECT_EQ(sb.recommendMask(11, 1), "b");
-    EXPECT_EQ(sb.recommendMask(11, 2), ""); // phase never flipped
-    EXPECT_EQ(sb.recommendMask(99, 0), ""); // function never flipped
-    EXPECT_EQ(sb.totalFlips(), 5u);
-
-    const fleet::VariantOutcome *o = sb.outcome(11, "a", 0);
-    ASSERT_NE(o, nullptr);
-    EXPECT_EQ(o->flips, 2u);
-    EXPECT_EQ(o->wins, 2u);
-    EXPECT_NEAR(o->score(), 0.3, 1e-9);
-    EXPECT_EQ(sb.outcome(11, "zzz", 0), nullptr);
+    const obs::Profile &p = rig.profiler.profile();
+    uint64_t hash = rig.att.ir->hash(kFunc);
+    ASSERT_EQ(p.entries().size(), 2u);
+    EXPECT_EQ(p.entries().at(key(hash, "m", 0)).samples, 1u);
+    EXPECT_EQ(p.entries().at(key(hash, "m", 1)).samples, 1u);
 }
 
-TEST(Scoreboard, TiesBreakTowardTheSmallerMaskKey)
+TEST(VariantProfiler, UnattributedSampleLandsInHashZero)
 {
-    fleet::VariantScoreboard sb;
-    sb.recordFlip(flip(4, "bb", 0, 1.0, 1.2));
-    sb.recordFlip(flip(4, "aa", 0, 1.0, 1.2)); // same score
-    EXPECT_EQ(sb.recommendMask(4, 0), "aa");
-}
+    ProfilerRig rig;
+    rig.machine.runFor(20000);
+    rig.profiler.recordSample(ir::kInvalidId, "");
 
-TEST(Scoreboard, JsonIsStableAndListsRecommendations)
-{
-    fleet::VariantScoreboard sb;
-    sb.recordFlip(flip(7, "m1", 0, 1.0, 1.1));
-    sb.recordFlip(flip(7, "m2", 0, 1.0, 0.9));
-    std::string j = sb.toJson();
-    EXPECT_EQ(j, sb.toJson());
-    EXPECT_NE(j.find("\"recommendations\""), std::string::npos);
-    EXPECT_NE(j.find("\"m1\""), std::string::npos);
-    EXPECT_NE(j.find("\"total_flips\": 2"), std::string::npos);
+    const obs::Profile &p = rig.profiler.profile();
+    ASSERT_EQ(p.entries().size(), 1u);
+    EXPECT_EQ(p.entries().count(key(0, "", 0)), 1u);
+    EXPECT_EQ(rig.profiler.funcHash(ir::kInvalidId), 0u);
+    EXPECT_EQ(p.nameOf(p.hottestFunction()), "[unattributed]");
 }
 
 // ---------------------------------------------------------------- //
@@ -250,14 +263,11 @@ TEST_F(FleetProfileTest, ProfilingOffKeepsThePlaneEmpty)
     sim.flushTelemetry();
     ASSERT_NE(sim.telemetry(), nullptr);
     EXPECT_TRUE(sim.telemetry()->fleetProfile().empty());
-    EXPECT_TRUE(sim.telemetry()->scoreboard().empty());
-    for (const fleet::FleetWindow &w : sim.telemetry()->windows()) {
+    for (const fleet::FleetWindow &w : sim.telemetry()->windows())
         EXPECT_EQ(w.profileSamples, 0u);
-        EXPECT_EQ(w.flipRecords, 0u);
-    }
 }
 
-TEST_F(FleetProfileTest, SamplesCarryVariantMasksAndFlipsScore)
+TEST_F(FleetProfileTest, SamplesCarryVariantMasksAndFunctionNames)
 {
     fleet::FleetSim sim(profiledConfig());
     // Long enough for the deploy stream to install variants and for
@@ -269,13 +279,10 @@ TEST_F(FleetProfileTest, SamplesCarryVariantMasksAndFlipsScore)
     // Samples landed and the hub's windows account for all of them.
     const obs::Profile &prof = hub.fleetProfile();
     ASSERT_FALSE(prof.empty());
-    uint64_t window_samples = 0, window_flips = 0;
-    for (const fleet::FleetWindow &w : hub.windows()) {
+    uint64_t window_samples = 0;
+    for (const fleet::FleetWindow &w : hub.windows())
         window_samples += w.profileSamples;
-        window_flips += w.flipRecords;
-    }
     EXPECT_EQ(window_samples, prof.totalSamples());
-    EXPECT_EQ(window_flips, hub.scoreboard().totalFlips());
 
     // The deploy stream installs variants, so some samples must be
     // attributed to a non-empty NT-mask, and each such bucket must
@@ -290,22 +297,14 @@ TEST_F(FleetProfileTest, SamplesCarryVariantMasksAndFlipsScore)
     }
     EXPECT_TRUE(variant_bucket);
 
-    // Flip experiments matured into the scoreboard, and the hottest
-    // function was named (the profiler knows the binary's symbols).
-    EXPECT_GT(hub.scoreboard().totalFlips(), 0u);
+    // The hottest function was named (the profiler knows the
+    // binary's symbols).
     uint64_t hot = prof.hottestFunction();
     ASSERT_NE(hot, 0u);
     EXPECT_NE(prof.nameOf(hot),
               strformat("f%llx",
                         static_cast<unsigned long long>(hot)))
         << "hottest function stayed an anonymous hash";
-    // A recommendation exists for at least one flipped bucket.
-    const auto &outcomes = hub.scoreboard().outcomes();
-    ASSERT_FALSE(outcomes.empty());
-    const obs::ProfileKey &first = outcomes.begin()->first;
-    EXPECT_FALSE(
-        hub.scoreboard().recommendMask(first.funcHash, first.phase)
-            .empty());
 }
 
 TEST_F(FleetProfileTest, ScrapePaysForProfilePayloadBytes)
@@ -320,8 +319,8 @@ TEST_F(FleetProfileTest, ScrapePaysForProfilePayloadBytes)
         sim.flushTelemetry();
         return sim.telemetry()->scrapeBytesTotal();
     };
-    // Shipping profile entries and flip records costs wire bytes;
-    // the profiled fleet's scrape payload must be strictly larger.
+    // Shipping profile entries costs wire bytes; the profiled
+    // fleet's scrape payload must be strictly larger.
     EXPECT_GT(scrapeBytes(with), scrapeBytes(without));
 }
 
@@ -334,15 +333,13 @@ TEST_F(FleetProfileTest, ExportsByteIdenticalSerialVsParallel4)
         sim.flushTelemetry();
         const fleet::TelemetryHub &hub = *sim.telemetry();
         return hub.fleetProfile().toJson() + "\n---\n" +
-            hub.fleetProfile().folded() + "\n---\n" +
-            hub.scoreboard().toJson() + "\n---\n" + hub.toJson();
+            hub.fleetProfile().folded() + "\n---\n" + hub.toJson();
     };
     std::string serial = runOnce(1);
     EXPECT_FALSE(serial.empty());
     EXPECT_EQ(serial, runOnce(1)); // repeatable
     EXPECT_EQ(serial, runOnce(4)); // parallel stepping identical
     EXPECT_NE(serial.find("\"profile\""), std::string::npos);
-    EXPECT_NE(serial.find("\"scoreboard\""), std::string::npos);
 }
 
 } // namespace
