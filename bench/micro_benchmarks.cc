@@ -1,8 +1,9 @@
 /**
  * @file
  * Microbenchmarks (google-benchmark) for the infrastructure hot
- * paths: cache access, simulated-core stepping, IR serialization and
- * compression, function lowering, and EVT retargeting.
+ * paths: cache access, memory-system streaming, simulated-core
+ * stepping, IR serialization and compression, function lowering, and
+ * EVT retargeting.
  */
 
 #include <benchmark/benchmark.h>
@@ -13,6 +14,7 @@
 #include "runtime/compiler.h"
 #include "runtime/evt_manager.h"
 #include "sim/machine.h"
+#include "sim/memsys.h"
 #include "support/compression.h"
 #include "workloads/registry.h"
 
@@ -35,13 +37,36 @@ BM_CacheAccess(benchmark::State &state)
     sim::Cache cache("bench", cfg.l3);
     uint64_t addr = 0;
     for (auto _ : state) {
-        if (!cache.access(addr))
-            cache.fill(addr, false);
+        benchmark::DoNotOptimize(
+            cache.accessOrFill(addr, false));
         addr += 64;
-        benchmark::DoNotOptimize(addr);
     }
 }
 BENCHMARK(BM_CacheAccess);
+
+/** Sequential lines over 8x the L3 through the whole hierarchy: the
+ *  L1 always misses and the armed stride prefetcher fills ahead, so
+ *  this times the fused miss/install path and the prefetch path.
+ *  Arg 1 = NT. */
+void
+BM_MemsysStream(benchmark::State &state)
+{
+    sim::MachineConfig cfg;
+    sim::MemorySystem ms(cfg);
+    sim::HpmCounters hpm;
+    const bool nt = state.range(0) != 0;
+    const uint64_t line = cfg.l1.lineBytes;
+    const uint64_t span = 8ULL * cfg.l3.sizeBytes;
+    uint64_t addr = 0;
+    uint64_t now = 0;
+    for (auto _ : state) {
+        now += ms.access(0, addr, nt, now, hpm).latency;
+        addr = (addr + line) % span;
+    }
+    state.counters["prefetches"] =
+        static_cast<double>(ms.prefetches());
+}
+BENCHMARK(BM_MemsysStream)->Arg(0)->Arg(1);
 
 void
 BM_SimulatedInstructions(benchmark::State &state)

@@ -51,46 +51,44 @@ MemorySystem::access(uint32_t core, uint64_t addr, bool nonTemporal,
 
     AccessResult res;
     res.latency = cfg_.l1.latency;
-    if (l1_[core]->access(addr)) {
+    // L1 always fills normally: the hint targets shared levels.
+    if (l1_[core]->accessOrFill(addr, false)) {
         res.l1Hit = true;
         return res;
     }
     ++hpm.l1Misses;
 
+    bool nt = nonTemporal;
+    // Under the bypass policy a non-temporal miss installs in no
+    // shared level.
+    bool bypass = nt && cfg_.ntPolicy == NtPolicy::Bypass;
+    auto shared = [&](Cache &c) {
+        return bypass ? c.access(addr) : c.accessOrFill(addr, nt);
+    };
+
     res.latency += cfg_.l2.latency;
-    if (l2_[core]->access(addr)) {
+    if (shared(*l2_[core])) {
         res.l2Hit = true;
-        // L1 always fills normally: the hint targets shared levels.
-        l1_[core]->fill(addr, false);
         return res;
     }
     ++hpm.l2Misses;
 
     res.latency += cfg_.l3.latency;
     ++hpm.l3Accesses;
-    bool l3_hit = l3_->access(addr);
-    if (!l3_hit) {
-        ++hpm.l3Misses;
-        ++hpm.dramAccesses;
-        ++dramAccesses_;
-        res.dram = true;
-        uint64_t start = std::max(now, dramNextFree_);
-        uint64_t queue = start - now;
-        dramNextFree_ = start + cfg_.dramOccupancy;
-        res.latency += queue + cfg_.dramLatency;
-    } else {
+    if (shared(*l3_)) {
         res.l3Hit = true;
+        return res;
     }
+    ++hpm.l3Misses;
+    ++hpm.dramAccesses;
+    ++dramAccesses_;
+    res.dram = true;
+    uint64_t start = std::max(now, dramNextFree_);
+    uint64_t queue = start - now;
+    dramNextFree_ = start + cfg_.dramOccupancy;
+    res.latency += queue + cfg_.dramLatency;
 
-    bool nt = nonTemporal;
-    bool bypass = nt && cfg_.ntPolicy == NtPolicy::Bypass;
-    if (!l3_hit && !bypass)
-        l3_->fill(addr, nt);
-    if (!bypass)
-        l2_[core]->fill(addr, nt);
-    l1_[core]->fill(addr, false);
-
-    if (!l3_hit && streaming(core))
+    if (streaming(core))
         prefetch(core, addr, nt);
     return res;
 }
@@ -108,25 +106,19 @@ MemorySystem::prefetch(uint32_t core, uint64_t addr, bool nonTemporal)
         return;
     for (uint32_t i = 1; i <= cfg_.prefetchDegree; ++i) {
         uint64_t target = addr + static_cast<uint64_t>(i) * line;
-        if (l2_[core]->contains(target) || l3_->contains(target))
+        // One scan per level: the probes' victims take the fills.
+        Cache::Probe in_l2 = l2_[core]->probe(target);
+        if (in_l2.hit)
+            continue;
+        Cache::Probe in_l3 = l3_->probe(target);
+        if (in_l3.hit)
             continue;
         dramNextFree_ += cfg_.dramOccupancy;
         ++dramAccesses_;
-        l3_->fill(target, nonTemporal);
-        l2_[core]->fill(target, nonTemporal);
+        l3_->install(in_l3, target, nonTemporal);
+        l2_[core]->install(in_l2, target, nonTemporal);
         ++prefetches_;
     }
-}
-
-void
-MemorySystem::resetStats()
-{
-    for (auto &c : l1_)
-        c->resetStats();
-    for (auto &c : l2_)
-        c->resetStats();
-    l3_->resetStats();
-    dramAccesses_ = 0;
 }
 
 } // namespace sim
