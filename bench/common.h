@@ -21,6 +21,8 @@
 #include <string>
 #include <vector>
 
+#include <sys/wait.h>
+
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "pcc/pcc.h"
@@ -317,9 +319,11 @@ readFileOrEmpty(const std::string &path)
 
 /**
  * Short revision stamp for trajectory runs: `git rev-parse` of the
- * working tree, the GITHUB_SHA environment as fallback, "unknown"
- * when neither is available. Only trajectory files carry the stamp —
- * never determinism-diffed exports.
+ * working tree, suffixed `-dirty` when tracked files differ from
+ * HEAD (the run did not measure that commit); the GITHUB_SHA
+ * environment as fallback, "unknown" when neither is available.
+ * Only trajectory files carry the stamp — never determinism-diffed
+ * exports.
  */
 inline std::string
 gitStamp()
@@ -335,8 +339,12 @@ gitStamp()
         while (!sha.empty() &&
                (sha.back() == '\n' || sha.back() == '\r'))
             sha.pop_back();
-        if (!sha.empty())
+        if (!sha.empty()) {
+            int st = std::system("git diff --quiet HEAD 2>/dev/null");
+            if (st != -1 && WIFEXITED(st) && WEXITSTATUS(st) == 1)
+                sha += "-dirty";
             return sha;
+        }
     }
     if (const char *env = std::getenv("GITHUB_SHA")) {
         std::string sha(env);

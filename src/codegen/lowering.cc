@@ -11,29 +11,6 @@ using isa::MOp;
 
 namespace {
 
-MOp
-aluMOp(ir::Opcode op)
-{
-    switch (op) {
-      case ir::Opcode::Add: return MOp::Add;
-      case ir::Opcode::Sub: return MOp::Sub;
-      case ir::Opcode::Mul: return MOp::Mul;
-      case ir::Opcode::Div: return MOp::Div;
-      case ir::Opcode::Mod: return MOp::Mod;
-      case ir::Opcode::And: return MOp::And;
-      case ir::Opcode::Or: return MOp::Or;
-      case ir::Opcode::Xor: return MOp::Xor;
-      case ir::Opcode::Shl: return MOp::Shl;
-      case ir::Opcode::Shr: return MOp::Shr;
-      case ir::Opcode::CmpEq: return MOp::CmpEq;
-      case ir::Opcode::CmpNe: return MOp::CmpNe;
-      case ir::Opcode::CmpLt: return MOp::CmpLt;
-      case ir::Opcode::CmpLe: return MOp::CmpLe;
-      default:
-        panic("aluMOp: %s is not a binary ALU op", opcodeName(op));
-    }
-}
-
 class FunctionLowering
 {
   public:
@@ -48,12 +25,10 @@ class FunctionLowering
     LoweredFunction
     run()
     {
-        if (fn_.numRegs() >
-            isa::kNumMachineRegs - isa::kFirstGeneralReg) {
+        if (fn_.numRegs() > isa::kSavedRegs) {
             panic("lowerFunction: %s uses %u virtual registers; "
                   "machine limit is %u", fn_.name().c_str(),
-                  fn_.numRegs(),
-                  isa::kNumMachineRegs - isa::kFirstGeneralReg);
+                  fn_.numRegs(), isa::kSavedRegs);
         }
 
         emitPrologue();
@@ -244,7 +219,7 @@ class FunctionLowering
           default:
             if (inst.isBinaryAlu()) {
                 MInst m;
-                m.op = aluMOp(inst.op);
+                m.op = isa::aluMOp(inst.op);
                 m.rd = machineReg(inst.dest);
                 m.rs1 = machineReg(inst.srcs[0]);
                 m.rs2 = machineReg(inst.srcs[1]);

@@ -3,37 +3,10 @@
 #include <optional>
 #include <unordered_map>
 
-#include "support/logging.h"
+#include "isa/minst.h"
 
 namespace protean {
 namespace codegen {
-
-namespace {
-
-uint64_t
-foldBinary(ir::Opcode op, uint64_t a, uint64_t b)
-{
-    switch (op) {
-      case ir::Opcode::Add: return a + b;
-      case ir::Opcode::Sub: return a - b;
-      case ir::Opcode::Mul: return a * b;
-      case ir::Opcode::Div: return b == 0 ? 0 : a / b;
-      case ir::Opcode::Mod: return b == 0 ? a : a % b;
-      case ir::Opcode::And: return a & b;
-      case ir::Opcode::Or: return a | b;
-      case ir::Opcode::Xor: return a ^ b;
-      case ir::Opcode::Shl: return a << (b & 63);
-      case ir::Opcode::Shr: return a >> (b & 63);
-      case ir::Opcode::CmpEq: return a == b;
-      case ir::Opcode::CmpNe: return a != b;
-      case ir::Opcode::CmpLt: return a < b;
-      case ir::Opcode::CmpLe: return a <= b;
-      default:
-        panic("foldBinary: not an ALU op");
-    }
-}
-
-} // namespace
 
 size_t
 foldConstants(ir::Function &fn)
@@ -75,8 +48,8 @@ foldConstants(ir::Function &fn)
                 auto a = consts.find(inst.srcs[0]);
                 auto b = consts.find(inst.srcs[1]);
                 if (a != consts.end() && b != consts.end()) {
-                    uint64_t v = foldBinary(inst.op, a->second,
-                                            b->second);
+                    uint64_t v = isa::evalAlu(isa::aluMOp(inst.op),
+                                              a->second, b->second);
                     ir::Reg dest = inst.dest;
                     inst = ir::Instruction{};
                     inst.op = ir::Opcode::ConstInt;

@@ -28,10 +28,6 @@ constexpr uint32_t kRuntimeCore = 2;
 struct ColoCellImpl
 {
     sim::Machine machine;
-    ir::Module svcModule;
-    ir::Module batchModule;
-    isa::Image svcImage;
-    isa::Image batchImage;
     sim::Process *svc = nullptr;
     sim::Process *batch = nullptr;
     std::unique_ptr<workloads::ServiceDriver> driver;
@@ -48,26 +44,26 @@ struct ColoCellImpl
     uint64_t measureStart = 0;
     bool measuring = false;
 
-    explicit ColoCellImpl(const ColoConfig &cfg)
-        : machine(cfg.machine),
-          svcModule(workloads::buildService(
-              workloads::serviceSpec(cfg.service))),
-          batchModule(workloads::buildBatch(
-              workloads::batchSpec(cfg.batch)))
+    explicit ColoCellImpl(const ColoConfig &cfg) : machine(cfg.machine)
     {
         if (cfg.machine.numCores < 3)
             fatal("runColocation: needs at least 3 cores");
 
-        svcImage = pcc::compilePlain(svcModule);
-        svc = &machine.load(svcImage, kServiceCore);
+        // The modules die with the constructor and each image moves
+        // into its Process, so a cell holds one copy of each binary.
+        ir::Module svc_module =
+            workloads::buildService(workloads::serviceSpec(cfg.service));
+        ir::Module batch_module =
+            workloads::buildBatch(workloads::batchSpec(cfg.batch));
 
-        batchImage = pcc::compile(batchModule);
-        batch = &machine.load(batchImage, kBatchCore);
-
+        isa::Image svc_image = pcc::compilePlain(svc_module);
         uint64_t req = workloads::globalAddr(
-            svcImage, svcModule, workloads::kServiceReqGlobal);
+            svc_image, svc_module, workloads::kServiceReqGlobal);
         uint64_t done = workloads::globalAddr(
-            svcImage, svcModule, workloads::kServiceDoneGlobal);
+            svc_image, svc_module, workloads::kServiceDoneGlobal);
+        svc = &machine.load(std::move(svc_image), kServiceCore);
+        batch = &machine.load(pcc::compile(batch_module), kBatchCore);
+
         driver = std::make_unique<workloads::ServiceDriver>(
             machine, *svc, req, done);
         if (!cfg.qpsTrace.empty())
@@ -142,8 +138,7 @@ soloBatchBpc(const std::string &batch, const sim::MachineConfig &mcfg)
     sim::Machine machine(mcfg);
     ir::Module module =
         workloads::buildBatch(workloads::batchSpec(batch));
-    isa::Image image = pcc::compilePlain(module);
-    machine.load(image, 0);
+    machine.load(pcc::compilePlain(module), 0);
 
     machine.runFor(machine.msToCycles(300.0)); // warm caches
     sim::HpmCounters before = machine.core(0).hpm();

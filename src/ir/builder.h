@@ -33,9 +33,6 @@ class IRBuilder
     /** Move the insertion point. */
     void setBlock(BlockId id);
 
-    /** Current insertion block. */
-    BlockId currentBlock() const { return curBlock_; }
-
     Reg constInt(int64_t value);
     Reg globalAddr(GlobalId g);
     Reg mov(Reg src);

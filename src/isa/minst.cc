@@ -5,6 +5,29 @@
 namespace protean {
 namespace isa {
 
+MOp
+aluMOp(ir::Opcode op)
+{
+    switch (op) {
+      case ir::Opcode::Add: return MOp::Add;
+      case ir::Opcode::Sub: return MOp::Sub;
+      case ir::Opcode::Mul: return MOp::Mul;
+      case ir::Opcode::Div: return MOp::Div;
+      case ir::Opcode::Mod: return MOp::Mod;
+      case ir::Opcode::And: return MOp::And;
+      case ir::Opcode::Or: return MOp::Or;
+      case ir::Opcode::Xor: return MOp::Xor;
+      case ir::Opcode::Shl: return MOp::Shl;
+      case ir::Opcode::Shr: return MOp::Shr;
+      case ir::Opcode::CmpEq: return MOp::CmpEq;
+      case ir::Opcode::CmpNe: return MOp::CmpNe;
+      case ir::Opcode::CmpLt: return MOp::CmpLt;
+      case ir::Opcode::CmpLe: return MOp::CmpLe;
+      default:
+        panic("aluMOp: %s is not a binary ALU op", opcodeName(op));
+    }
+}
+
 const char *
 mopName(MOp op)
 {

@@ -22,10 +22,12 @@
 #ifndef PROTEAN_ISA_MINST_H
 #define PROTEAN_ISA_MINST_H
 
+#include <array>
 #include <cstdint>
 #include <string>
 
 #include "ir/instruction.h"
+#include "support/logging.h"
 
 namespace protean {
 namespace isa {
@@ -39,6 +41,11 @@ constexpr CodeAddr kInvalidCodeAddr = 0xffffffffu;
 constexpr uint32_t kNumMachineRegs = 64;
 /** First general (window-saved) register. */
 constexpr uint32_t kFirstGeneralReg = 4;
+/** Registers a call saves and its return restores (r4..r63). */
+constexpr uint32_t kSavedRegs = kNumMachineRegs - kFirstGeneralReg;
+
+/** The architectural register file. */
+using RegFile = std::array<uint64_t, kNumMachineRegs>;
 
 /** Machine opcodes. */
 enum class MOp : uint8_t {
@@ -87,6 +94,76 @@ struct MInst
 
 /** Disassemble one instruction (addr only affects formatting). */
 std::string disassemble(const MInst &inst, CodeAddr addr = 0);
+
+/** The machine op an IR binary ALU opcode lowers to (Add..CmpLe). */
+MOp aluMOp(ir::Opcode op);
+
+/**
+ * Value semantics of the binary ALU ops Add..CmpLe: rd = a op b on
+ * unsigned 64-bit values. Division by zero yields 0 and modulo by
+ * zero yields the dividend; shift counts are taken mod 64; compares
+ * yield 0 or 1. The simulated core, the validation sandbox and the
+ * constant folder all evaluate through this one definition.
+ */
+inline uint64_t
+evalAlu(MOp op, uint64_t a, uint64_t b)
+{
+    switch (op) {
+      case MOp::Add: return a + b;
+      case MOp::Sub: return a - b;
+      case MOp::Mul: return a * b;
+      case MOp::Div: return b == 0 ? 0 : a / b;
+      case MOp::Mod: return b == 0 ? a : a % b;
+      case MOp::And: return a & b;
+      case MOp::Or: return a | b;
+      case MOp::Xor: return a ^ b;
+      case MOp::Shl: return a << (b & 63);
+      case MOp::Shr: return a >> (b & 63);
+      case MOp::CmpEq: return a == b;
+      case MOp::CmpNe: return a != b;
+      case MOp::CmpLt: return a < b;
+      case MOp::CmpLe: return a <= b;
+      default:
+        panic("evalAlu: %s is not an ALU op", mopName(op));
+    }
+}
+
+/**
+ * One register-window frame of the hardware call stack: a call
+ * saves r4..r63 and its return address, the matching Ret restores
+ * them (r0..r3 carry arguments and results across the transfer).
+ */
+struct CallFrame
+{
+    CodeAddr ret;
+    std::array<uint64_t, kSavedRegs> saved;
+
+    /** The frame a call pushes when it returns to `ret_pc`. */
+    static CallFrame
+    save(CodeAddr ret_pc, const RegFile &regs)
+    {
+        CallFrame f;
+        f.ret = ret_pc;
+        for (uint32_t i = 0; i < kSavedRegs; ++i)
+            f.saved[i] = regs[kFirstGeneralReg + i];
+        return f;
+    }
+
+    /** Restore the saved window into `regs` (the Ret half). */
+    void
+    restore(RegFile &regs) const
+    {
+        for (uint32_t i = 0; i < kSavedRegs; ++i)
+            regs[kFirstGeneralReg + i] = saved[i];
+    }
+};
+
+/** Byte address of EVT slot `slot`: one 8-byte code address each. */
+constexpr uint64_t
+evtSlotAddr(uint64_t evt_base, uint32_t slot)
+{
+    return evt_base + 8ULL * slot;
+}
 
 } // namespace isa
 } // namespace protean

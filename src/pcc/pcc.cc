@@ -65,7 +65,7 @@ compile(ir::Module &module, const PccOptions &opts)
     // --- Data layout: header | EVT | IR | globals.
     uint64_t cursor = isa::kHdrBytes;
     image.evtBase = image.evtCount > 0 ? cursor : 0;
-    cursor += 8ULL * image.evtCount;
+    cursor = isa::evtSlotAddr(cursor, image.evtCount); // EVT end
     cursor = alignUp(cursor, 64);
     image.irBase = ir_blob.empty() ? 0 : cursor;
     image.irSizeBytes = ir_blob.size();
@@ -121,7 +121,7 @@ compile(ir::Module &module, const PccOptions &opts)
 
     for (uint32_t slot = 0; slot < image.evtCount; ++slot) {
         ir::FuncId f = image.evtSlotFunc[slot];
-        image.setInitialWord(image.evtBase + 8ULL * slot,
+        image.setInitialWord(isa::evtSlotAddr(image.evtBase, slot),
                              image.functions[f].entry);
     }
     for (size_t i = 0; i < ir_blob.size(); ++i)

@@ -99,7 +99,7 @@ attach(const sim::Process &proc)
     const isa::Image &image = proc.image();
     for (uint32_t slot = 0; slot < att.evtCount; ++slot) {
         auto entry = static_cast<isa::CodeAddr>(
-            proc.readWord(att.evtBase + 8ULL * slot));
+            proc.readWord(isa::evtSlotAddr(att.evtBase, slot)));
         const isa::FunctionInfo *fi = image.functionAt(entry);
         if (!fi || fi->entry != entry) {
             warn("attach: EVT slot %u does not point at a function "

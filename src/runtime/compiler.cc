@@ -42,7 +42,7 @@ RuntimeCompiler::RuntimeCompiler(sim::Machine &machine,
                                  uint32_t runtime_core,
                                  CompileBackend *backend)
     : machine_(machine), proc_(proc), ir_(ir), module_(ir.module()),
-      slots_(slots), runtimeCore_(runtime_core)
+      slots_(slots)
 {
     if (backend) {
         backend_ = backend;
@@ -51,14 +51,6 @@ RuntimeCompiler::RuntimeCompiler(sim::Machine &machine,
             machine, runtime_core);
         backend_ = ownedBackend_.get();
     }
-}
-
-void
-RuntimeCompiler::setRuntimeCore(uint32_t core)
-{
-    runtimeCore_ = core;
-    if (ownedBackend_)
-        ownedBackend_->setCore(core);
 }
 
 std::string

@@ -162,8 +162,6 @@ class LocalCompileBackend : public CompileBackend
     {
     }
 
-    void setCore(uint32_t core) { core_ = core; }
-
     void compile(const CompileJob &job,
                  std::function<void(const CompileOutcome &)> done)
         override;
@@ -172,7 +170,7 @@ class LocalCompileBackend : public CompileBackend
 
   private:
     sim::Machine &machine_;
-    uint32_t core_;
+    const uint32_t core_;
     /** Completion time of the last queued compile. */
     uint64_t backendFree_ = 0;
 };
@@ -195,9 +193,6 @@ class RuntimeCompiler
                     const codegen::VirtualizationMap &slots,
                     uint32_t runtime_core,
                     CompileBackend *backend = nullptr);
-
-    /** Change which core absorbs compile work (local backend only). */
-    void setRuntimeCore(uint32_t core);
 
     /**
      * Request a variant of func under a module-wide NT mask.
@@ -265,7 +260,6 @@ class RuntimeCompiler
     const BinaryIr &ir_;
     const ir::Module &module_;
     const codegen::VirtualizationMap &slots_;
-    uint32_t runtimeCore_;
     std::unique_ptr<LocalCompileBackend> ownedBackend_;
     CompileBackend *backend_;
 

@@ -20,7 +20,7 @@ EvtManager::slotAddr(ir::FuncId f) const
     auto it = slots_.find(f);
     if (it == slots_.end())
         panic("EvtManager: function %u is not virtualized", f);
-    return evtBase_ + 8ULL * it->second;
+    return isa::evtSlotAddr(evtBase_, it->second);
 }
 
 void

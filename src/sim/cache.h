@@ -28,12 +28,6 @@ struct CacheStats
     uint64_t accesses = 0;
     uint64_t misses = 0;
     uint64_t ntFills = 0;
-
-    double missRate() const
-    {
-        return accesses == 0 ? 0.0 :
-            static_cast<double>(misses) / static_cast<double>(accesses);
-    }
 };
 
 /**

@@ -24,6 +24,10 @@ constexpr uint32_t kBtIndirectCycles = 200;
 /** Residual cost per taken direct transfer (linked blocks). */
 constexpr uint32_t kBtTakenExtraCycles = 35;
 
+/** Latency of Mul, and of Div and Mod; every other ALU op takes 1. */
+constexpr uint64_t kMulCycles = 3;
+constexpr uint64_t kDivCycles = 12;
+
 } // namespace
 
 Core::Core(uint32_t id, const MachineConfig &cfg, MemorySystem &memsys)
@@ -248,11 +252,7 @@ Core::memAccess(uint64_t vaddr, bool nonTemporal)
 void
 Core::doCall(isa::CodeAddr target)
 {
-    Frame frame;
-    frame.ret = pc_ + 1;
-    for (uint32_t i = 0; i < kSavedRegs; ++i)
-        frame.saved[i] = regs_[isa::kFirstGeneralReg + i];
-    stack_.push_back(frame);
+    stack_.push_back(isa::CallFrame::save(pc_ + 1, regs_));
     transferTo(target, false);
 }
 
@@ -263,11 +263,10 @@ Core::doRet()
         halt();
         return;
     }
-    Frame frame = stack_.back();
+    isa::CodeAddr ret = stack_.back().ret;
+    stack_.back().restore(regs_);
     stack_.pop_back();
-    for (uint32_t i = 0; i < kSavedRegs; ++i)
-        regs_[isa::kFirstGeneralReg + i] = frame.saved[i];
-    transferTo(frame.ret, true);
+    transferTo(ret, true);
 }
 
 void
@@ -341,34 +340,16 @@ Core::execute(const MInst &inst)
       case MOp::Mov:
         r[inst.rd] = r[inst.rs1];
         break;
-      case MOp::Add: r[inst.rd] = r[inst.rs1] + r[inst.rs2]; break;
-      case MOp::Sub: r[inst.rd] = r[inst.rs1] - r[inst.rs2]; break;
-      case MOp::Mul:
-        r[inst.rd] = r[inst.rs1] * r[inst.rs2];
-        cost = 3;
+      case MOp::Add: case MOp::Sub: case MOp::Mul: case MOp::Div:
+      case MOp::Mod: case MOp::And: case MOp::Or: case MOp::Xor:
+      case MOp::Shl: case MOp::Shr: case MOp::CmpEq: case MOp::CmpNe:
+      case MOp::CmpLt: case MOp::CmpLe:
+        r[inst.rd] = isa::evalAlu(inst.op, r[inst.rs1], r[inst.rs2]);
+        if (inst.op == MOp::Mul)
+            cost = kMulCycles;
+        else if (inst.op == MOp::Div || inst.op == MOp::Mod)
+            cost = kDivCycles;
         break;
-      case MOp::Div:
-        r[inst.rd] = r[inst.rs2] == 0 ? 0 : r[inst.rs1] / r[inst.rs2];
-        cost = 12;
-        break;
-      case MOp::Mod:
-        r[inst.rd] = r[inst.rs2] == 0 ? r[inst.rs1]
-            : r[inst.rs1] % r[inst.rs2];
-        cost = 12;
-        break;
-      case MOp::And: r[inst.rd] = r[inst.rs1] & r[inst.rs2]; break;
-      case MOp::Or: r[inst.rd] = r[inst.rs1] | r[inst.rs2]; break;
-      case MOp::Xor: r[inst.rd] = r[inst.rs1] ^ r[inst.rs2]; break;
-      case MOp::Shl:
-        r[inst.rd] = r[inst.rs1] << (r[inst.rs2] & 63);
-        break;
-      case MOp::Shr:
-        r[inst.rd] = r[inst.rs1] >> (r[inst.rs2] & 63);
-        break;
-      case MOp::CmpEq: r[inst.rd] = r[inst.rs1] == r[inst.rs2]; break;
-      case MOp::CmpNe: r[inst.rd] = r[inst.rs1] != r[inst.rs2]; break;
-      case MOp::CmpLt: r[inst.rd] = r[inst.rs1] < r[inst.rs2]; break;
-      case MOp::CmpLe: r[inst.rd] = r[inst.rs1] <= r[inst.rs2]; break;
       case MOp::Load: {
         uint64_t vaddr = r[inst.rs1] + static_cast<uint64_t>(inst.imm);
         ++hpm_.loads;
@@ -412,8 +393,8 @@ Core::execute(const MInst &inst)
         break;
       case MOp::CallIndirect: {
         ++hpm_.branches;
-        uint64_t slot_addr = proc_->image().evtBase +
-            8ULL * inst.evtSlot;
+        uint64_t slot_addr =
+            isa::evtSlotAddr(proc_->image().evtBase, inst.evtSlot);
         // The EVT read is a real (cached) memory access; this is the
         // entire cost of edge virtualization.
         cost += memAccess(slot_addr, false);

@@ -20,7 +20,6 @@
 #ifndef PROTEAN_SIM_CORE_H
 #define PROTEAN_SIM_CORE_H
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <unordered_map>
@@ -151,9 +150,6 @@ class Core
     /** Enable/disable the binary-translation execution mode. */
     void setBtConfig(const BtConfig &bt);
 
-    /** Call-stack depth (tests). */
-    size_t stackDepth() const { return stack_.size(); }
-
     /** Install the flip-watch fire callback (the protean runtime). */
     void setFlipHook(FlipHook hook) { flipHook_ = std::move(hook); }
 
@@ -170,27 +166,15 @@ class Core
     void retargetFlipWatches(uint32_t func, isa::CodeAddr lo,
                              isa::CodeAddr hi, isa::CodeAddr entry);
 
-    /** Pending (unfired) flip watches on this core. */
-    size_t flipWatchCount() const { return flipWatches_.size(); }
-
   private:
-    static constexpr uint32_t kSavedRegs =
-        isa::kNumMachineRegs - isa::kFirstGeneralReg;
-
-    struct Frame
-    {
-        isa::CodeAddr ret;
-        std::array<uint64_t, kSavedRegs> saved;
-    };
-
     uint32_t id_;
     const MachineConfig &cfg_;
     MemorySystem &memsys_;
 
     Process *proc_ = nullptr;
     isa::CodeAddr pc_ = 0;
-    std::array<uint64_t, isa::kNumMachineRegs> regs_{};
-    std::vector<Frame> stack_;
+    isa::RegFile regs_{};
+    std::vector<isa::CallFrame> stack_;
 
     uint64_t cycle_ = 0;
     HpmCounters hpm_;

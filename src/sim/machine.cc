@@ -58,27 +58,18 @@ Machine::core(uint32_t id) const
 }
 
 Process &
-Machine::load(const isa::Image &image, uint32_t core_id)
+Machine::load(isa::Image image, uint32_t core_id)
 {
     Core &c = core(core_id);
     if (c.process() && c.process()->state() == ProcState::Running)
         fatal("machine: core %u already busy with %s", core_id,
               c.process()->name().c_str());
     auto proc = std::make_unique<Process>(
-        static_cast<uint32_t>(procs_.size()), image);
+        static_cast<uint32_t>(procs_.size()), std::move(image));
     procs_.push_back(std::move(proc));
     c.syncIdleClock(now_);
     c.bind(procs_.back().get());
     return *procs_.back();
-}
-
-void
-Machine::unload(uint32_t core_id)
-{
-    Core &c = core(core_id);
-    if (c.process())
-        c.process()->setState(ProcState::Halted);
-    c.bind(nullptr);
 }
 
 Process &
@@ -98,6 +89,27 @@ Machine::nextCore()
             best = c.get();
     }
     return best;
+}
+
+std::pair<Core *, Core *>
+Machine::nextTwoCores()
+{
+    Core *best = nullptr;
+    Core *other = nullptr;
+    for (auto &u : cores_) {
+        Core *k = u.get();
+        if (!k->runnable())
+            continue;
+        if (!best) {
+            best = k;
+        } else if (k->cycle() < best->cycle()) {
+            other = best;
+            best = k;
+        } else if (!other || k->cycle() < other->cycle()) {
+            other = k;
+        }
+    }
+    return {best, other};
 }
 
 void
@@ -139,25 +151,7 @@ void
 Machine::runBatch(uint64_t until_cycle)
 {
     for (;;) {
-        // One scan finds both the scheduler's choice (min cycle,
-        // lowest index on ties — exactly nextCore()) and the core
-        // that would be chosen if `best` were absent, which bounds
-        // how far `best` may run without changing the interleaving.
-        Core *best = nullptr;
-        Core *other = nullptr;
-        for (auto &u : cores_) {
-            Core *k = u.get();
-            if (!k->runnable())
-                continue;
-            if (!best) {
-                best = k;
-            } else if (k->cycle() < best->cycle()) {
-                other = best;
-                best = k;
-            } else if (!other || k->cycle() < other->cycle()) {
-                other = k;
-            }
-        }
+        auto [best, other] = nextTwoCores();
 
         uint64_t core_t = best ? best->cycle() : UINT64_MAX;
         uint64_t event_t =
@@ -217,25 +211,7 @@ Machine::runWindowInterleaved(uint64_t horizon)
     // pre-joint-window engine, now scoped to the remainder of a
     // window that a fenced core could not prove interference-free.
     for (;;) {
-        // One scan finds both the scheduler's choice (min cycle,
-        // lowest index on ties — exactly nextCore()) and the core
-        // that would be chosen if `best` were absent, which bounds
-        // how far `best` may run without changing the interleaving.
-        Core *best = nullptr;
-        Core *other = nullptr;
-        for (auto &u : cores_) {
-            Core *k = u.get();
-            if (!k->runnable())
-                continue;
-            if (!best) {
-                best = k;
-            } else if (k->cycle() < best->cycle()) {
-                other = best;
-                best = k;
-            } else if (!other || k->cycle() < other->cycle()) {
-                other = k;
-            }
-        }
+        auto [best, other] = nextTwoCores();
         if (!best || best->cycle() >= horizon)
             return;
         // best stays the scheduler's choice while its cycle is below

@@ -17,6 +17,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "isa/image.h"
@@ -77,14 +78,11 @@ class Machine
 
     /**
      * Create a process from an image and bind it to a core.
-     * The core must currently be free.
+     * The core must currently be free. The image moves into the
+     * process, so a caller that is done with it passes an rvalue.
      */
-    Process &load(const isa::Image &image, uint32_t core_id);
+    Process &load(isa::Image image, uint32_t core_id);
 
-    /** Unbind and discard a core's process. */
-    void unload(uint32_t core_id);
-
-    size_t numProcesses() const { return procs_.size(); }
     Process &process(uint32_t proc_id);
 
     /** Run until the global clock reaches until_cycle. */
@@ -144,6 +142,14 @@ class Machine
 
     /** Runnable core with the smallest clock; null if none. */
     Core *nextCore();
+
+    /**
+     * The scheduler's choice (exactly nextCore(): min cycle, lowest
+     * index on ties) and the core that would be chosen if it were
+     * absent, which bounds how far the choice may run without
+     * changing the interleaving. Either is null when no such core.
+     */
+    std::pair<Core *, Core *> nextTwoCores();
 
     /** Reference engine: one scheduling decision per instruction. */
     void runStep(uint64_t until_cycle);

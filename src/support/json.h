@@ -50,7 +50,6 @@ class JsonValue
 
     Type type() const { return type_; }
     bool isNull() const { return type_ == Type::Null; }
-    bool isBool() const { return type_ == Type::Bool; }
     bool isNumber() const { return type_ == Type::Number; }
     bool isString() const { return type_ == Type::String; }
     bool isArray() const { return type_ == Type::Array; }

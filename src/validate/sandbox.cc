@@ -71,19 +71,12 @@ Sandbox::run(const std::vector<MInst> &code, isa::CodeAddr entry,
     // reaches flip->afterExecutions, the branch is "patched".
     uint64_t flip_taken = 0;
 
-    std::array<uint64_t, isa::kNumMachineRegs> &r = res.regs;
+    isa::RegFile &r = res.regs;
     r.fill(0);
     for (size_t i = 0; i < args.size(); ++i)
         r[i] = args[i];
 
-    constexpr uint32_t kSaved =
-        isa::kNumMachineRegs - isa::kFirstGeneralReg;
-    struct Frame
-    {
-        isa::CodeAddr ret;
-        std::array<uint64_t, kSaved> saved;
-    };
-    std::vector<Frame> stack;
+    std::vector<isa::CallFrame> stack;
 
     auto trap = [&res](Trap t, isa::CodeAddr pc) {
         res.trap = t;
@@ -107,11 +100,7 @@ Sandbox::run(const std::vector<MInst> &code, isa::CodeAddr entry,
             trap(Trap::CallDepth, at);
             return at;
         }
-        Frame f;
-        f.ret = ret_pc;
-        for (uint32_t i = 0; i < kSaved; ++i)
-            f.saved[i] = r[isa::kFirstGeneralReg + i];
-        stack.push_back(f);
+        stack.push_back(isa::CallFrame::save(ret_pc, r));
         return target;
     };
 
@@ -131,7 +120,6 @@ Sandbox::run(const std::vector<MInst> &code, isa::CodeAddr entry,
             ++res.steps;
         }
         isa::CodeAddr next = pc + 1;
-        bool transferred = false;
 
         switch (inst.op) {
           case MOp::Const:
@@ -140,37 +128,11 @@ Sandbox::run(const std::vector<MInst> &code, isa::CodeAddr entry,
           case MOp::Mov:
             r[inst.rd] = r[inst.rs1];
             break;
-          case MOp::Add: r[inst.rd] = r[inst.rs1] + r[inst.rs2]; break;
-          case MOp::Sub: r[inst.rd] = r[inst.rs1] - r[inst.rs2]; break;
-          case MOp::Mul: r[inst.rd] = r[inst.rs1] * r[inst.rs2]; break;
-          case MOp::Div:
-            r[inst.rd] =
-                r[inst.rs2] == 0 ? 0 : r[inst.rs1] / r[inst.rs2];
-            break;
-          case MOp::Mod:
-            r[inst.rd] = r[inst.rs2] == 0 ? r[inst.rs1]
-                : r[inst.rs1] % r[inst.rs2];
-            break;
-          case MOp::And: r[inst.rd] = r[inst.rs1] & r[inst.rs2]; break;
-          case MOp::Or: r[inst.rd] = r[inst.rs1] | r[inst.rs2]; break;
-          case MOp::Xor: r[inst.rd] = r[inst.rs1] ^ r[inst.rs2]; break;
-          case MOp::Shl:
-            r[inst.rd] = r[inst.rs1] << (r[inst.rs2] & 63);
-            break;
-          case MOp::Shr:
-            r[inst.rd] = r[inst.rs1] >> (r[inst.rs2] & 63);
-            break;
-          case MOp::CmpEq:
-            r[inst.rd] = r[inst.rs1] == r[inst.rs2];
-            break;
-          case MOp::CmpNe:
-            r[inst.rd] = r[inst.rs1] != r[inst.rs2];
-            break;
-          case MOp::CmpLt:
-            r[inst.rd] = r[inst.rs1] < r[inst.rs2];
-            break;
-          case MOp::CmpLe:
-            r[inst.rd] = r[inst.rs1] <= r[inst.rs2];
+          case MOp::Add: case MOp::Sub: case MOp::Mul: case MOp::Div:
+          case MOp::Mod: case MOp::And: case MOp::Or: case MOp::Xor:
+          case MOp::Shl: case MOp::Shr: case MOp::CmpEq: case MOp::CmpNe:
+          case MOp::CmpLt: case MOp::CmpLe:
+            r[inst.rd] = isa::evalAlu(inst.op, r[inst.rs1], r[inst.rs2]);
             break;
           case MOp::Load: {
             uint64_t addr =
@@ -203,7 +165,6 @@ Sandbox::run(const std::vector<MInst> &code, isa::CodeAddr entry,
             if (flip && pc == flip->pc &&
                 flip_taken++ >= flip->afterExecutions)
                 next = flip->dest;
-            transferred = true;
             break;
           case MOp::Bnz:
             ++res.branches;
@@ -212,7 +173,6 @@ Sandbox::run(const std::vector<MInst> &code, isa::CodeAddr entry,
                 if (flip && pc == flip->pc &&
                     flip_taken++ >= flip->afterExecutions)
                     next = flip->dest;
-                transferred = true;
             }
             break;
           case MOp::CallDirect:
@@ -222,7 +182,6 @@ Sandbox::run(const std::vector<MInst> &code, isa::CodeAddr entry,
                 break;
             }
             next = doCall(pc + 1, inst.target, pc);
-            transferred = true;
             break;
           case MOp::CallIndirect: {
             ++res.branches;
@@ -231,11 +190,10 @@ Sandbox::run(const std::vector<MInst> &code, isa::CodeAddr entry,
                 break;
             }
             uint64_t slot_addr =
-                image_.evtBase + 8ULL * inst.evtSlot;
+                isa::evtSlotAddr(image_.evtBase, inst.evtSlot);
             auto target =
                 static_cast<isa::CodeAddr>(readWord(slot_addr));
             next = doCall(pc + 1, target, pc);
-            transferred = true;
             break;
           }
           case MOp::Ret:
@@ -243,12 +201,9 @@ Sandbox::run(const std::vector<MInst> &code, isa::CodeAddr entry,
             if (stack.empty()) {
                 halted = true;
             } else {
-                Frame f = stack.back();
+                next = stack.back().ret;
+                stack.back().restore(r);
                 stack.pop_back();
-                for (uint32_t i = 0; i < kSaved; ++i)
-                    r[isa::kFirstGeneralReg + i] = f.saved[i];
-                next = f.ret;
-                transferred = true;
             }
             break;
           case MOp::Halt:
@@ -257,7 +212,6 @@ Sandbox::run(const std::vector<MInst> &code, isa::CodeAddr entry,
           case MOp::Nop:
             break;
         }
-        (void)transferred;
         pc = next;
     }
     return res;

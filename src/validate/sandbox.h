@@ -8,10 +8,11 @@
  * array, call through an unpatched direct-call slot, or compute an
  * unaligned address. The real sim::Core panics on all of those
  * (correct for vetted images, fatal for a validator), so the sandbox
- * is a separate functional interpreter with *identical architectural
- * semantics* (the same Div/Mod-by-zero rules, shift masking, register
- * windows, and EVT dispatch as sim/core.cc) that converts every
- * would-be panic into a trap recorded in the result.
+ * is a separate functional interpreter that converts every would-be
+ * panic into a trap recorded in the result. Its architectural
+ * semantics are the core's by construction: both evaluate ALU ops
+ * through isa::evalAlu, save register windows as isa::CallFrame and
+ * address the EVT through isa::evtSlotAddr (isa/minst.h).
  *
  * The sandbox is purely functional: no caches, no cycle costs, no
  * event queue. What it records is exactly what differential
@@ -86,7 +87,7 @@ struct SandboxResult
     uint64_t writeDigest = 0xcbf29ce484222325ULL;
     uint64_t writeCount = 0;
     /** Final register file. */
-    std::array<uint64_t, isa::kNumMachineRegs> regs{};
+    isa::RegFile regs{};
 
     /**
      * Architectural fingerprint two equivalent runs must share. The

@@ -17,6 +17,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "codegen/passes.h"
 #include "fleet/fleet.h"
 #include "ir/builder.h"
 #include "obs/metrics.h"
@@ -168,6 +169,119 @@ TEST_F(ValidateTest, SandboxMatchesSimCoreExecution)
     EXPECT_EQ(r.branches, hpm.branches);
     for (uint32_t i = 0; i < isa::kNumMachineRegs; ++i)
         EXPECT_EQ(r.regs[i], machine.core(0).reg(i)) << "r" << i;
+}
+
+/** Every binary ALU op, as IR opcode and the machine op it lowers to. */
+const std::pair<ir::Opcode, isa::MOp> kAluOps[] = {
+    {ir::Opcode::Add, isa::MOp::Add},     {ir::Opcode::Sub, isa::MOp::Sub},
+    {ir::Opcode::Mul, isa::MOp::Mul},     {ir::Opcode::Div, isa::MOp::Div},
+    {ir::Opcode::Mod, isa::MOp::Mod},     {ir::Opcode::And, isa::MOp::And},
+    {ir::Opcode::Or, isa::MOp::Or},       {ir::Opcode::Xor, isa::MOp::Xor},
+    {ir::Opcode::Shl, isa::MOp::Shl},     {ir::Opcode::Shr, isa::MOp::Shr},
+    {ir::Opcode::CmpEq, isa::MOp::CmpEq}, {ir::Opcode::CmpNe, isa::MOp::CmpNe},
+    {ir::Opcode::CmpLt, isa::MOp::CmpLt}, {ir::Opcode::CmpLe, isa::MOp::CmpLe},
+};
+
+/** Operands at the edges of the ALU rules: zero divisors, shift
+ *  counts at and past 64, and both sides of the sign bit. */
+constexpr uint64_t kAluEdges[] = {
+    0, 1, 3, 63, 64, 65, 1ULL << 63, ~0ULL,
+};
+
+/**
+ * Evaluates `a op b` three ways — on sim::Core, in the sandbox, and
+ * through codegen's constant folder — and expects all three to agree.
+ * The machine image is `Const r4, a; Const r5, b; op r6, r4, r5; Halt`.
+ */
+struct AluConsumers
+{
+    sim::Machine machine;
+
+    uint64_t
+    eval(ir::Opcode irop, isa::MOp op, uint64_t a, uint64_t b)
+    {
+        auto konst = [](uint8_t rd, uint64_t v) {
+            isa::MInst m;
+            m.op = isa::MOp::Const;
+            m.rd = rd;
+            m.imm = static_cast<int64_t>(v);
+            return m;
+        };
+        isa::MInst alu;
+        alu.op = op;
+        alu.rd = 6;
+        alu.rs1 = 4;
+        alu.rs2 = 5;
+        isa::MInst halt;
+        halt.op = isa::MOp::Halt;
+        isa::Image image;
+        image.name = "alu";
+        image.code = {konst(4, a), konst(5, b), alu, halt};
+        image.functions.push_back({"main", 0, 0, 4});
+        image.entryFunc = 0;
+        image.initialData.assign(isa::kHdrBytes, 0);
+
+        machine.load(image, 0);
+        machine.runToCompletion();
+        uint64_t core = machine.core(0).reg(6);
+
+        Sandbox box(image);
+        SandboxResult r = box.run(image.code, 0, {0, 0, 0, 0}, 16);
+        EXPECT_EQ(r.trap, Trap::None);
+        uint64_t sandbox = r.regs[6];
+
+        ir::Module m("alu");
+        IRBuilder ib(m);
+        ib.startFunction("f", 0);
+        ib.ret(ib.binary(irop, ib.constInt(static_cast<int64_t>(a)),
+                         ib.constInt(static_cast<int64_t>(b))));
+        codegen::foldConstants(m.function(0));
+        const ir::Instruction &folded = m.function(0).block(0).insts[2];
+        EXPECT_EQ(folded.op, ir::Opcode::ConstInt);
+        auto fold = static_cast<uint64_t>(folded.imm);
+
+        std::string what = strformat(
+            "%s(%#llx, %#llx)", isa::mopName(op),
+            static_cast<unsigned long long>(a),
+            static_cast<unsigned long long>(b));
+        EXPECT_EQ(core, sandbox) << what << ": core vs sandbox";
+        EXPECT_EQ(core, fold) << what << ": core vs constant folder";
+        return core;
+    }
+
+    uint64_t
+    eval(ir::Opcode irop, uint64_t a, uint64_t b)
+    {
+        return eval(irop, isa::aluMOp(irop), a, b);
+    }
+};
+
+TEST_F(ValidateTest, AluEdgeCasesAgreeAcrossCoreSandboxAndFolder)
+{
+    AluConsumers alu;
+    for (auto [irop, op] : kAluOps) {
+        EXPECT_EQ(isa::aluMOp(irop), op) << isa::mopName(op);
+        for (uint64_t a : kAluEdges) {
+            for (uint64_t b : kAluEdges)
+                alu.eval(irop, op, a, b);
+        }
+    }
+}
+
+TEST_F(ValidateTest, AluEdgeCasesFollowPisaRules)
+{
+    using ir::Opcode;
+    AluConsumers alu;
+    for (uint64_t x : kAluEdges) {
+        EXPECT_EQ(alu.eval(Opcode::Div, x, 0), 0u);
+        EXPECT_EQ(alu.eval(Opcode::Mod, x, 0), x);
+        EXPECT_EQ(alu.eval(Opcode::Shl, x, 64), x);
+        EXPECT_EQ(alu.eval(Opcode::Shr, x, 65), x >> 1);
+    }
+    // Compares are unsigned: 2^63 is not negative.
+    EXPECT_EQ(alu.eval(Opcode::CmpLt, 1ULL << 63, 1), 0u);
+    EXPECT_EQ(alu.eval(Opcode::CmpLe, ~0ULL, 0), 0u);
+    EXPECT_EQ(alu.eval(Opcode::Sub, 0, 1), ~0ULL);
 }
 
 // ---------------------------------------------------------------- //
